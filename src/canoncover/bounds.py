@@ -3,7 +3,8 @@
 Every bound is computed as an exact arbitrary-precision integer (values
 reach beyond 10^2862) together with a float log10 obtained from
 log-gamma/logarithms, never from the integer itself, so the two routes
-cross-check each other.
+cross-check each other. The integer is consulted only to settle a float
+that lands within rounding of a whole number on the correct side of it.
 
 epsilon is handled as an exact rational throughout: with float
 arithmetic, 1/(2 * float(1/6)) lands at 3.0000000000000004 and its
@@ -90,20 +91,30 @@ def _half_integer_k(eps: Fraction, context: str) -> int:
     return inv.numerator // 2
 
 
-def _binom_logvalue(top: int, bottom: int, formula: str) -> LogValue:
-    exact = math.comb(top, bottom)
-    log10 = (
-        math.lgamma(top + 1) - math.lgamma(bottom + 1) - math.lgamma(top - bottom + 1)
-    ) / _LN10
+def _logvalue(log10: float, exact: int, formula: str) -> LogValue:
+    """Pair a float log10 with its exact integer. A float that lands within
+    rounding of an integer k is settled on the side of k that `exact` is
+    on (log-gamma gives 1.9999999999999996 for C(100, 99) = 100), so its
+    floor always counts the digits."""
+    k = round(log10)
+    if abs(log10 - k) <= 1e-9 and k >= 0:
+        if exact >= 10**k:
+            log10 = max(log10, float(k))
+        else:
+            log10 = min(log10, math.nextafter(float(k), -math.inf))
     return LogValue(log10=log10, exact=exact, formula=formula)
 
 
+def _binom_logvalue(top: int, bottom: int, formula: str) -> LogValue:
+    log10 = (
+        math.lgamma(top + 1) - math.lgamma(bottom + 1) - math.lgamma(top - bottom + 1)
+    ) / _LN10
+    return _logvalue(log10, math.comb(top, bottom), formula)
+
+
 def _power_logvalue(base: int, exponent: int, formula: str) -> LogValue:
-    return LogValue(
-        log10=exponent * math.log10(base) if base > 1 else 0.0,
-        exact=base**exponent,
-        formula=formula,
-    )
+    log10 = exponent * math.log10(base) if base > 1 else 0.0
+    return _logvalue(log10, base**exponent, formula)
 
 
 def bound_quotient_upper(n: int, d: int, eps) -> LogValue:

@@ -100,16 +100,10 @@ def _cmd_coverage(args) -> int:
     return 0
 
 
-def _format_bounds_text(entries, n_list) -> str:
-    by_key = {(e.formula, e.n): bounds_mod.sci_string(e.value) for e in entries}
-    headers = ["n", *bounds_mod.TABLE_FORMULAS]
-    rows = [[str(n)] + [by_key[(f, n)] for f in bounds_mod.TABLE_FORMULAS]
-            for n in n_list]
-    widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+def _align_columns(rows) -> str:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in rows)
 
 
 def _cmd_bounds(args) -> int:
@@ -118,16 +112,15 @@ def _cmd_bounds(args) -> int:
         raise ValueError("need at least one n")
     m = None if args.m.strip().lower() == "limit" else int(args.m)
     entries = bounds_mod.bounds_table(n_list=n_list, d=args.d, eps=args.eps, m=m)
-    if args.format == "text":
-        _emit(_format_bounds_text(entries, n_list), args.output)
-    elif args.format == "csv":
+    if args.format in ("text", "csv"):
         by_key = {(e.formula, e.n): bounds_mod.sci_string(e.value) for e in entries}
-        lines = ["n," + ",".join(bounds_mod.TABLE_FORMULAS)]
-        for n in n_list:
-            lines.append(
-                f"{n}," + ",".join(by_key[(f, n)] for f in bounds_mod.TABLE_FORMULAS)
-            )
-        _emit("\n".join(lines), args.output)
+        rows = [["n", *bounds_mod.TABLE_FORMULAS]]
+        rows += [[str(n)] + [by_key[(f, n)] for f in bounds_mod.TABLE_FORMULAS]
+                 for n in n_list]
+        if args.format == "csv":
+            _emit("\n".join(",".join(row) for row in rows), args.output)
+        else:
+            _emit(_align_columns(rows), args.output)
     else:
         items = []
         for e in entries:

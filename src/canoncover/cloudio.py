@@ -56,7 +56,10 @@ def read_cloud(path) -> np.ndarray:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"{path}: rows have mixed column counts {sorted(widths)}")
-    return np.array(rows, dtype=float).T
+    coords = np.array(rows, dtype=float).T
+    if not np.isfinite(coords).all():
+        raise ValueError(f"{path}: non-finite value (nan or inf) in cloud")
+    return coords
 
 
 def write_cloud(path, coords: np.ndarray) -> None:

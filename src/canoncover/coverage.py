@@ -13,7 +13,7 @@ input points themselves.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,12 +59,12 @@ class NetResult:
     """Centers selected by a net/packing/cover routine."""
 
     center_indices: list[int]
-    size: int
     epsilon: float
     kind: str = "cover"
 
-    def __post_init__(self):
-        self.size = len(self.center_indices)
+    @property
+    def size(self) -> int:
+        return len(self.center_indices)
 
 
 def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = False,
@@ -107,17 +107,6 @@ def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = Fals
     )
 
 
-def _greedy_centers(points, metric, epsilon) -> list[int]:
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    metric = parse_metric(metric)
-    centers: list[int] = []
-    for i, p in enumerate(points):
-        if all(metric(p, points[c]) > epsilon for c in centers):
-            centers.append(i)
-    return centers
-
-
 def greedy_net(points, metric, epsilon) -> NetResult:
     """Single-pass epsilon-net in input order.
 
@@ -125,17 +114,20 @@ def greedy_net(points, metric, epsilon) -> NetResult:
     existing center, so the centers cover the input (every point within
     epsilon of some center) and are pairwise > epsilon apart.
     """
-    centers = _greedy_centers(points, metric, epsilon)
-    return NetResult(center_indices=centers, size=len(centers),
-                     epsilon=float(epsilon), kind="cover")
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    metric = parse_metric(metric)
+    centers: list[int] = []
+    for i, p in enumerate(points):
+        if all(metric(p, points[c]) > epsilon for c in centers):
+            centers.append(i)
+    return NetResult(center_indices=centers, epsilon=float(epsilon))
 
 
 def greedy_packing(points, metric, epsilon) -> NetResult:
     """The same greedy pass as greedy_net, reported as a maximal
     epsilon-separated set (a packing)."""
-    centers = _greedy_centers(points, metric, epsilon)
-    return NetResult(center_indices=centers, size=len(centers),
-                     epsilon=float(epsilon), kind="packing")
+    return replace(greedy_net(points, metric, epsilon), kind="packing")
 
 
 _EXACT_COVER_MAX = 20
@@ -164,7 +156,7 @@ def exact_cover_number(points, metric, epsilon) -> int:
                 mask |= 1 << j
         balls.append(mask)
 
-    best = len(_greedy_centers(points, metric, epsilon))  # valid upper bound
+    best = greedy_net(points, metric, epsilon).size  # valid upper bound
 
     def search(covered: int, used: int) -> None:
         nonlocal best

@@ -2,8 +2,9 @@
 
 A quotient metric is the distance between orbits: the minimum of the base
 metric over one input's group orbit. The permutation quotients use exact
-solvers (optimal assignment for the summed cost, threshold search plus
-bipartite matching for the bottleneck cost); `brute_perm_quotient` is the
+solvers, both through scipy's `linear_sum_assignment`: optimal assignment
+for the summed cost, and threshold search with an assignment-solver
+feasibility test for the bottleneck cost. `brute_perm_quotient` is the
 exhaustive oracle used to cross-check them on small instances.
 """
 
@@ -122,38 +123,23 @@ def perm_quotient_sum(X, Y) -> float:
     return _finalize(cost[rows, cols].sum() / X.shape[1])
 
 
-def _has_perfect_matching(allowed: np.ndarray) -> bool:
-    """Kuhn's augmenting-path test for a perfect matching in a bipartite
-    graph given as a boolean n x n adjacency matrix."""
-    n = allowed.shape[0]
-    match_of_col = np.full(n, -1)
-
-    def augment(row: int, seen: np.ndarray) -> bool:
-        for col in np.flatnonzero(allowed[row]):
-            if seen[col]:
-                continue
-            seen[col] = True
-            if match_of_col[col] < 0 or augment(match_of_col[col], seen):
-                match_of_col[col] = row
-                return True
-        return False
-
-    for row in range(n):
-        if not augment(row, np.zeros(n, dtype=bool)):
-            return False
-    return True
-
-
 def _bottleneck_assignment(cost: np.ndarray) -> float:
-    """Smallest t such that the graph {cost <= t} has a perfect matching,
-    found by binary search over the sorted distinct costs."""
+    """Smallest t such that some assignment uses no cost above t, found by
+    binary search over the sorted distinct costs. A threshold t is feasible
+    iff the optimal assignment on the 0/1 matrix `cost > t` picks no 1."""
+
+    def feasible(t: float) -> bool:
+        forbidden = cost > t
+        rows, cols = linear_sum_assignment(forbidden)
+        return not forbidden[rows, cols].any()
+
     values = np.unique(cost)
     lo, hi = 0, len(values) - 1
-    if not _has_perfect_matching(cost <= values[hi]):
+    if not feasible(values[hi]):
         raise InternalConsistencyError("complete cost matrix has no perfect matching")
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(cost <= values[mid]):
+        if feasible(values[mid]):
             hi = mid
         else:
             lo = mid + 1

@@ -102,6 +102,12 @@ class TestQuotientUpper:
         v = bound_quotient_upper(2, 2, Fraction(1, 4))
         assert v.exact == multiset_count(2, 4) == 10
 
+    def test_log10_floor_counts_digits_at_power_of_ten(self):
+        # C(100, 99) = 100, where log-gamma alone lands just below 2.
+        v = bound_quotient_upper(99, 1, Fraction(1, 4))
+        assert v.exact == 100
+        assert math.floor(v.log10) + 1 == 3
+
     def test_reference_endpoints(self):
         assert sci_string(bound_quotient_upper(250, 3, "1/6")) == "2.1e+36"
         assert sci_string(bound_quotient_upper(2000, 3, "1/6")) == "2.0e+59"

@@ -109,6 +109,16 @@ class TestDist:
         assert main(["dist", a, a, "--metric", "cosine"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["inf", "perm-sum", "perm-bottleneck"])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, metric):
+        a = tmp_path / "a.csv"
+        a.write_text("0.1,nan\n0.4,0.2\n")
+        b = _write(tmp_path, "b.csv", [[0.1, 0.9], [0.4, 0.2]])
+        assert main(["dist", str(a), b, "--metric", metric]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "non-finite" in captured.err
+
 
 class TestCoverage:
     def test_report_and_determinism(self, tmp_path, capsys):

@@ -256,6 +256,13 @@ class TestCloudCsv:
         with pytest.raises(ValueError, match="unparseable row"):
             read_cloud(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match="non-finite value"):
+            read_cloud(path)
+
     def test_format_number(self):
         assert format_number(0.5) == "0.5"
         assert format_number(1.0 / 3.0) == "0.333333333333"

@@ -91,6 +91,43 @@ class TestWasserstein:
             wasserstein_1d([1.0, 2.0], [1.0])
 
 
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Kuhn's augmenting-path test for a perfect matching in a bipartite
+    graph given as a boolean n x n adjacency matrix."""
+    n = allowed.shape[0]
+    match_of_col = np.full(n, -1)
+
+    def augment(row: int, seen: np.ndarray) -> bool:
+        for col in np.flatnonzero(allowed[row]):
+            if seen[col]:
+                continue
+            seen[col] = True
+            if match_of_col[col] < 0 or augment(match_of_col[col], seen):
+                match_of_col[col] = row
+                return True
+        return False
+
+    for row in range(n):
+        if not augment(row, np.zeros(n, dtype=bool)):
+            return False
+    return True
+
+
+def kuhn_bottleneck(cost: np.ndarray) -> float:
+    """Reference bottleneck assignment: binary search over the distinct
+    costs with Kuhn's matching test. Recursive, so keep n well below the
+    interpreter's recursion limit."""
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
 class TestPermQuotients:
     def test_permutation_gives_zero(self, rng):
         for _ in range(50):
@@ -123,6 +160,27 @@ class TestPermQuotients:
                     - brute_perm_quotient(X, Y, "inf"))
                 <= TOL
             )
+
+    def test_bottleneck_matches_kuhn_oracle(self):
+        # The result is always one of the cost entries, so compare exactly;
+        # every third instance is rounded to 0.1 to force tied costs.
+        rng = np.random.default_rng(2024)
+        for i in range(150):
+            d, n = int(rng.integers(1, 4)), int(rng.integers(1, 65))
+            X, Y = rng.random((d, n)), rng.random((d, n))
+            if i % 3 == 0:
+                X, Y = X.round(1), Y.round(1)
+            linf = np.max(np.abs(X[:, :, None] - Y[:, None, :]), axis=0)
+            assert perm_quotient_bottleneck(X, Y) == kuhn_bottleneck(linf)
+
+    def test_bottleneck_beyond_recursion_limit(self):
+        # n above the default 1000-frame recursion limit; sorting is the
+        # exact one-dimensional isometry, so wasserstein_1d is the oracle.
+        rng = np.random.default_rng(7)
+        x, y = rng.random((1, 1050)), rng.random((1, 1050))
+        expected = wasserstein_1d(x, y, p=np.inf)
+        assert perm_quotient_bottleneck(x, y) == expected
+        assert perm_quotient_pnorm(x[0], y[0], p=np.inf) == expected
 
     def test_bottleneck_below_sum_assignment_max(self, rng):
         # Any feasible assignment upper-bounds the bottleneck; in
