@@ -65,9 +65,11 @@ def read_cloud(path) -> np.ndarray:
 def write_cloud(path, coords: np.ndarray) -> None:
     """Write a d x n matrix as CSV, one point per row, 12 significant digits."""
     coords = np.asarray(coords, dtype=float)
+    # One format call over every value writes the same text as format_number
+    # applied per value, about three times faster.
+    row = ",".join(["{:.12g}"] * coords.shape[0]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for j in range(coords.shape[1]):
-            fh.write(",".join(format_number(v) for v in coords[:, j]) + "\n")
+        fh.write((row * coords.shape[1]).format(*coords.T.ravel().tolist()))
 
 
 def read_manifest(path, rng=None) -> Dataset:

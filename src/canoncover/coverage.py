@@ -79,6 +79,8 @@ def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = Fals
     metric = parse_metric(metric)
     if len(train.items) == 0:
         raise ValueError("train set is empty")
+    if len(test.items) == 0:
+        raise ValueError("test set is empty")
     train_coords = [item.coords for item in train.items]
     train_labels = [item.label for item in train.items]
 

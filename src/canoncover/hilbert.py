@@ -10,11 +10,16 @@ on [0,1]: `index_centroid` places an index at the midpoint of its
 subinterval of [0,1], and `centroid` places a cell at the midpoint of
 its subcube. On those grids the curve is Holder continuous:
 max-norm distance of images <= 4 * |x - y|^(1/d).
+
+Scalar `encode`/`decode` work on one cell or index with Python ints and
+are the reference. Whole clouds go through an array form of the same
+transform: `cloud_indices` finds every column's cell in one numpy pass
+and encodes the d x n uint64 cell array, looping only over the m levels
+and d axes. `cell_of` and `snap_to_centroids` share that cell step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +165,60 @@ def decode(params: HilbertParams, index) -> tuple[int, ...]:
     return tuple(_transpose_to_axes(transposed, params.m, params.d))
 
 
+def _grid_cells(params: HilbertParams, coords: np.ndarray) -> np.ndarray:
+    """Cells of the columns of a d x n float array, as a d x n uint64 array.
+
+    Component i is floor(x_i * 2^m); a coordinate equal to 1.0 is clamped
+    into the last cell (the final interval is closed). The clamp runs after
+    the cast: above m = 53 the float 2^m - 1 rounds up to 2^m.
+    """
+    bad = ~((coords >= 0.0) & (coords <= 1.0))
+    if bad.any():
+        # Report the first bad value in column order, as a per-point scan would.
+        raise ValueError(f"coordinate {coords.T[bad.T][0]} outside [0, 1]")
+    cells = np.floor(coords * params.cells_per_axis).astype(np.uint64)
+    return np.minimum(cells, np.uint64(params.cells_per_axis - 1))
+
+
+def _encode_cells(params: HilbertParams, cells: np.ndarray) -> np.ndarray:
+    """Curve indices of the columns of a d x n uint64 cell array.
+
+    `_axes_to_transpose` then `_transpose_to_index`, applied to whole rows.
+    """
+    d, m = params.d, params.m
+    x = cells.copy()
+    zero = np.uint64(0)
+    for level in range(m - 1, 0, -1):
+        q = np.uint64(1 << level)
+        p = q - np.uint64(1)
+        for i in range(d):
+            on = (x[i] & q) != 0
+            t = np.where(on, zero, (x[0] ^ x[i]) & p)
+            x[0] ^= np.where(on, p, t)
+            x[i] ^= t  # t is 0 when i == 0
+    for i in range(1, d):
+        x[i] ^= x[i - 1]
+    t = np.zeros(x.shape[1], dtype=np.uint64)
+    for level in range(m - 1, 0, -1):
+        q = np.uint64(1 << level)
+        t ^= np.where((x[d - 1] & q) != 0, q - np.uint64(1), zero)
+    x ^= t
+    # Bit `level` of axis i lands at position level*d + (d-1-i) of the index.
+    shifts = np.arange(d - 1, -1, -1, dtype=np.uint64)[:, None]
+    h = np.zeros(x.shape[1], dtype=np.uint64)
+    for level in range(m):
+        bits = (x >> np.uint64(level)) & np.uint64(1)
+        h |= np.bitwise_or.reduce(bits << (shifts + np.uint64(level * d)), axis=0)
+    return h
+
+
+def _as_cloud(params: HilbertParams, coords) -> np.ndarray:
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[0] != params.d:
+        raise ValueError(f"expected a {params.d} x n matrix, got shape {coords.shape}")
+    return coords
+
+
 def cell_of(params: HilbertParams, point) -> tuple[int, ...]:
     """Grid cell containing a point of [0,1]^d.
 
@@ -169,13 +228,7 @@ def cell_of(params: HilbertParams, point) -> tuple[int, ...]:
     point = np.asarray(point, dtype=float).reshape(-1)
     if point.shape[0] != params.d:
         raise ValueError(f"point has {point.shape[0]} coordinates, expected {params.d}")
-    side = params.cells_per_axis
-    cell = []
-    for x in point:
-        if not 0.0 <= x <= 1.0:
-            raise ValueError(f"coordinate {x} outside [0, 1]")
-        cell.append(min(int(math.floor(x * side)), side - 1))
-    return tuple(cell)
+    return tuple(int(c) for c in _grid_cells(params, point[:, None])[:, 0])
 
 
 def centroid(params: HilbertParams, cell) -> np.ndarray:
@@ -193,19 +246,11 @@ def index_centroid(params: HilbertParams, index) -> float:
 
 def snap_to_centroids(params: HilbertParams, coords: np.ndarray) -> np.ndarray:
     """Replace each column of a d x n cloud with the centroid of its cell."""
-    coords = np.asarray(coords, dtype=float)
-    out = np.empty_like(coords)
-    for j in range(coords.shape[1]):
-        out[:, j] = centroid(params, cell_of(params, coords[:, j]))
-    return out
+    cells = _grid_cells(params, _as_cloud(params, coords))
+    scale = 1.0 / (1 << (params.m + 1))
+    return (np.uint64(2) * cells + np.uint64(1)).astype(float) * scale
 
 
 def cloud_indices(params: HilbertParams, coords: np.ndarray) -> np.ndarray:
     """Curve index of every column of a d x n cloud with entries in [0,1]."""
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[0] != params.d:
-        raise ValueError(f"expected a {params.d} x n matrix, got shape {coords.shape}")
-    return np.array(
-        [encode(params, cell_of(params, coords[:, j])) for j in range(coords.shape[1])],
-        dtype=np.uint64,
-    )
+    return _encode_cells(params, _grid_cells(params, _as_cloud(params, coords)))

@@ -74,6 +74,14 @@ def _check_hilbert_bijection(rng):
         assert len(seen) == params.n_cells, params
 
 
+def _check_hilbert_array_encoder(rng):
+    for params in _params_grid():
+        cells = [hilbert.decode(params, k) for k in range(params.n_cells)]
+        centroids = np.array([hilbert.centroid(params, c) for c in cells]).T
+        got = hilbert.cloud_indices(params, centroids).tolist()
+        assert got == [hilbert.encode(params, c) for c in cells], params
+
+
 def _check_hilbert_adjacency(rng):
     for params in _params_grid():
         prev = hilbert.decode(params, 0)
@@ -335,6 +343,7 @@ def _check_quotient_below_hypercube(rng):
 SUITES: dict[str, list[tuple[str, object]]] = {
     "hilbert": [
         ("bijection d<=3 m<=4", _check_hilbert_bijection),
+        ("array encoder matches scalar encode", _check_hilbert_array_encoder),
         ("adjacency L1=1", _check_hilbert_adjacency),
         ("nesting of refined curves", _check_hilbert_nesting),
         ("holder continuity", _check_hilbert_holder),

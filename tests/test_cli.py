@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ class TestCoverage:
                      "--test", str(test_dir / "set.jsonl"),
                      "--metric", "inf", "--same-label"]) == 1
         assert "label" in capsys.readouterr().err
+
+    def test_empty_test_set_exits_1(self, tmp_path, capsys):
+        train, _ = _make_manifests(tmp_path)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for canon in ([], ["--canon", "hilbert:4"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["coverage", "--train", train, "--test", str(empty),
+                             "--metric", "perm-sum", *canon]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: test set is empty\n"
+            assert captured.out == ""
 
 
 class TestBounds:

@@ -268,6 +268,17 @@ class TestCloudCsv:
         assert format_number(1.0 / 3.0) == "0.333333333333"
         assert format_number(1e-20) == "1e-20"
 
+    def test_write_cloud_bytes_match_format_number(self, tmp_path, rng):
+        X = np.array([[0.5, 1.0 / 3.0, 1e-20, -0.0, 7.0],
+                      [1e300, -2.5e-7, 123456789.123456789, 0.1, -1.0]])
+        X = np.concatenate([X, rng.normal(size=(2, 20)) * 1e4], axis=1)
+        path = tmp_path / "w.csv"
+        write_cloud(path, X)
+        expected = "".join(",".join(format_number(v) for v in X[:, j]) + "\n"
+                           for j in range(X.shape[1]))
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_text().startswith("0.5,1e+300\n0.333333333333,-2.5e-07\n")
+
 
 class TestManifest:
     def _write_clouds(self, tmp_path, clouds):

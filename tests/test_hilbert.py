@@ -1,6 +1,7 @@
 """Curve construction: bijection, adjacency, nesting, Holder continuity."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -163,13 +164,67 @@ def test_snap_to_centroids_halves_cell_error(rng):
     np.testing.assert_array_equal(snap_to_centroids(params, snapped), snapped)
 
 
+def _reference_cell(params, point):
+    # The per-point floor/clamp rule in Python ints.
+    side = params.cells_per_axis
+    return tuple(min(int(math.floor(x * side)), side - 1) for x in point)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_cloud_indices_every_cell_small_grids(d):
+    for m in range(1, 12 // d + 1):
+        params = HilbertParams(d=d, m=m)
+        cells = list(itertools.product(range(params.cells_per_axis), repeat=d))
+        centroids = np.array([centroid(params, c) for c in cells]).T
+        idx = cloud_indices(params, centroids)
+        assert idx.tolist() == [encode(params, c) for c in cells], (d, m)
+
+
 def test_cloud_indices_matches_pointwise(rng):
-    params = HilbertParams(d=2, m=3)
-    X = rng.random((2, 40))
-    idx = cloud_indices(params, X)
-    assert idx.dtype == np.uint64
-    for col in range(40):
-        assert int(idx[col]) == encode(params, cell_of(params, X[:, col]))
+    # Columns at exactly 0.0 and 1.0 probe the clamp: above m = 53 a clamp
+    # done in float rounds 2^m - 1 up to 2^m, one cell past the grid.
+    for d, m in [(2, 3), (1, 62), (2, 31), (3, 20), (6, 10)]:
+        params = HilbertParams(d=d, m=m)
+        X = rng.random((d, 40))
+        X[:, 0] = 0.0
+        X[:, 1] = 1.0
+        X[0, 2] = 1.0
+        X[-1, 3] = 0.0
+        X[:, 4] = np.nextafter(1.0, 0.0)
+        idx = cloud_indices(params, X)
+        assert idx.dtype == np.uint64
+        for col in range(40):
+            cell = _reference_cell(params, X[:, col])
+            assert cell_of(params, X[:, col]) == cell
+            assert int(idx[col]) == encode(params, cell), (d, m, col)
+        assert int(idx[1]) == encode(params, (params.cells_per_axis - 1,) * d)
+
+
+def test_snap_to_centroids_matches_pointwise(rng):
+    for d, m in [(3, 4), (1, 62), (2, 31)]:
+        params = HilbertParams(d=d, m=m)
+        X = rng.random((d, 30))
+        X[:, 0] = 0.0
+        X[:, 1] = 1.0
+        snapped = snap_to_centroids(params, X)
+        for col in range(30):
+            np.testing.assert_array_equal(
+                snapped[:, col], centroid(params, _reference_cell(params, X[:, col])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_out_of_range_coordinates_rejected(bad, rng):
+    params = HilbertParams(d=3, m=4)
+    X = rng.random((3, 6))
+    X[1, 2] = bad
+    X[0, 4] = 7.0  # a later column: the error names the first bad value
+    message = f"coordinate {bad} outside \\[0, 1\\]"
+    with pytest.raises(ValueError, match=message):
+        cloud_indices(params, X)
+    with pytest.raises(ValueError, match=message):
+        snap_to_centroids(params, X)
+    with pytest.raises(ValueError, match=message):
+        cell_of(params, X[:, 2])
 
 
 def test_params_validation():
