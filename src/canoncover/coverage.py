@@ -67,6 +67,12 @@ class NetResult:
         return len(self.center_indices)
 
 
+# A candidate is skipped only when its lower bound exceeds the best exact
+# value by this relative margin, so values that tie within float rounding
+# are still solved.
+_PRUNE_SLACK = 1 + 1e-9
+
+
 def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = False,
              threads: int | None = None) -> CoverageReport:
     """Nearest-train distance for every test item.
@@ -75,6 +81,14 @@ def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = Fals
     items sharing its label; a label with no train representative raises
     LabelCoverageError. The scan over test items may fan out over
     `threads` workers; the result does not depend on thread count.
+
+    Each test item scans its eligible train items in ascending order of
+    the metric's lower bound and stops once the next bound exceeds the
+    best exact value found, so the result equals the full scan's while
+    skipping most exact solves. perm-sum (sorted-marginal and centroid
+    bounds) and perm-bottleneck (sorted-marginal bound) prune; other
+    metrics, and datasets whose clouds differ in shape, have no bound
+    (-inf for every item) and scan every eligible item in train order.
     """
     metric = parse_metric(metric)
     if len(train.items) == 0:
@@ -83,24 +97,38 @@ def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = Fals
         raise ValueError("test set is empty")
     train_coords = [item.coords for item in train.items]
     train_labels = [item.label for item in train.items]
+    shapes = {item.coords.shape for item in train.items + test.items}
+    lower_bound = metric.lower_bound if len(shapes) == 1 else None
+    stack = np.stack(train_coords) if lower_bound else None
 
-    def nearest(test_item) -> float:
+    def nearest(t: int) -> float:
+        X = test.items[t].coords
         if same_label_only:
-            eligible = [c for c, lab in zip(train_coords, train_labels)
-                        if lab == test_item.label]
+            label = test.items[t].label
+            eligible = [i for i, lab in enumerate(train_labels) if lab == label]
             if not eligible:
-                raise LabelCoverageError(
-                    f"no train item with label {test_item.label!r}"
-                )
+                raise LabelCoverageError(f"no train item with label {label!r}")
         else:
-            eligible = train_coords
-        return min(metric(test_item.coords, c) for c in eligible)
+            eligible = range(len(train_coords))
+        if lower_bound:
+            lower = lower_bound(X, stack[eligible])
+        else:
+            lower = np.full(len(eligible), -np.inf)
+        order = np.argsort(lower, kind="stable")
+        best = metric(X, train_coords[eligible[order[0]]])
+        for k in order[1:]:
+            if lower[k] > best * _PRUNE_SLACK:
+                break
+            value = metric(X, train_coords[eligible[k]])
+            if value < best:
+                best = value
+        return best
 
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            q = np.array(list(pool.map(nearest, test.items)))
+            q = np.array(list(pool.map(nearest, range(len(test.items)))))
     else:
-        q = np.array([nearest(t) for t in test.items])
+        q = np.array([nearest(t) for t in range(len(test.items))])
     return CoverageReport(
         q=q,
         mean_coverage=float(np.mean(q)),

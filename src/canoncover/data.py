@@ -114,6 +114,8 @@ def synthetic_dataset(n_items: int, clusters: int, d: int, n_points: int,
     """
     if min(n_items, clusters, d, n_points) < 1:
         raise ValueError("sizes must be positive")
+    if spread < 0:
+        raise ValueError("spread must be non-negative")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(0.25, 0.75, size=(clusters, d))
     items = []
@@ -159,7 +161,10 @@ def apply_canon(coords: np.ndarray, spec: str) -> tuple[np.ndarray, dict]:
         _, _, arg = name.partition(":")
         if not arg:
             raise ValueError("hilbert canonization needs an order, e.g. hilbert:6")
-        m = int(arg)
+        try:
+            m = int(arg)
+        except ValueError:
+            raise ValueError(f"hilbert order must be an integer, got {arg!r}") from None
         res = _canon.canon_hilbert(coords, m=m)
         return res.cloud, {"method": name, "perm": res.perm.tolist()}
     if name == "centralize":

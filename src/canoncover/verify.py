@@ -223,6 +223,23 @@ def _check_solvers_against_brute(rng):
                    - metrics.brute_perm_quotient(X, Y, "inf")) <= _TOL
 
 
+def _check_quotient_sandwich(rng):
+    pairs = (("perm-sum", "mean-euclidean", metrics.dist_mean_euclidean),
+             ("perm-bottleneck", "inf", metrics.dist_inf))
+    canons = (("hilbert:4", lambda Z: canon.canon_hilbert(Z, m=4).cloud),
+              ("lexsort", lambda Z: canon.canon_lexsort(Z).cloud))
+    for _ in range(50):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        X, Y = rng.random((d, n)), rng.random((d, n))
+        for name, base, dist in pairs:
+            lower = float(metrics.parse_metric(name).lower_bound(X, Y[None])[0])
+            quotient = metrics.brute_perm_quotient(X, Y, base)
+            assert lower <= quotient + _TOL, (name, lower, quotient)
+            for spec, canonize in canons:
+                canonized = dist(canonize(X), canonize(Y))
+                assert quotient <= canonized + _TOL, (name, spec, quotient, canonized)
+
+
 def _check_sign_rowwise_vs_exhaustive(rng):
     for _ in range(50):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
@@ -285,6 +302,19 @@ def _check_coverage_domination(rng):
         canonized = coverage_of(canonize_dataset(train, spec),
                                       canonize_dataset(test, spec), "mean-euclidean")
         assert np.all(quotient.q <= canonized.q + _TOL), spec
+
+
+def _check_pruned_scan(rng):
+    train, test = synthetic_split(30, 15, clusters=3, d=3, n_points=6,
+                                  seed=int(rng.integers(0, 2**31)))
+    for name in ("perm-sum", "perm-bottleneck"):
+        metric = metrics.parse_metric(name)
+        for same_label in (False, True):
+            full = [min(metric(t.coords, c.coords) for c in train.items
+                        if not same_label or c.label == t.label)
+                    for t in test.items]
+            pruned = coverage_of(train, test, metric, same_label_only=same_label)
+            assert np.array_equal(pruned.q, full), (name, same_label)
 
 
 def _check_greedy_validity(rng):
@@ -357,6 +387,8 @@ SUITES: dict[str, list[tuple[str, object]]] = {
     "metrics": [
         ("symmetry and triangle inequality", _check_metric_axioms),
         ("solvers match brute force", _check_solvers_against_brute),
+        ("marginal/centroid lower bound <= quotient <= canonized",
+         _check_quotient_sandwich),
         ("sign rowwise equals exhaustive", _check_sign_rowwise_vs_exhaustive),
     ],
     "isometry": [
@@ -370,6 +402,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
     ],
     "coverage": [
         ("quotient dominates canonized coverage", _check_coverage_domination),
+        ("pruned scan equals full scan", _check_pruned_scan),
         ("greedy net validity", _check_greedy_validity),
         ("exact cover <= greedy size", _check_exact_vs_greedy),
     ],

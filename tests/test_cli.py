@@ -76,6 +76,13 @@ class TestCanonize:
                      "--method", "spin"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_integer_hilbert_order_exits_1(self, tmp_path, capsys):
+        src = _write(tmp_path, "in.csv", [[0.1, 0.2]])
+        assert main(["canonize", src, str(tmp_path / "o.csv"),
+                     "--method", "hilbert:x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: hilbert order must be an integer, got 'x'\n")
+
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert main(["canonize", str(tmp_path / "absent.csv"),
                      str(tmp_path / "o.csv"), "--method", "sort"]) == 1
@@ -196,6 +203,23 @@ class TestCoverage:
             assert captured.err == "error: test set is empty\n"
             assert captured.out == ""
 
+    @pytest.mark.parametrize("metric", ["perm-sum", "perm-bottleneck"])
+    def test_mixed_shape_manifests_exit_1(self, tmp_path, capsys, metric):
+        rng = np.random.default_rng(0)
+        manifests = []
+        for name, n in (("train", 5), ("test", 6)):
+            folder = tmp_path / name
+            folder.mkdir()
+            for i in range(3):
+                write_cloud(folder / f"c{i}.csv", rng.random((3, n)))
+            write_manifest(folder / "set.jsonl", [(f"c{i}.csv", 0) for i in range(3)])
+            manifests.append(str(folder / "set.jsonl"))
+        assert main(["coverage", "--train", manifests[0], "--test", manifests[1],
+                     "--metric", metric]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: shape mismatch: (3, 6) vs (3, 5)\n"
+        assert captured.out == ""
+
 
 class TestBounds:
     REFERENCE_ROWS = {
@@ -276,6 +300,13 @@ class TestGen:
     def test_bad_sizes_exit_1(self, tmp_path, capsys):
         assert main(["gen", "--clusters", "0", "--per-cluster", "2",
                      "--out", str(tmp_path / "x.jsonl")]) == 1
+
+
+    def test_negative_spread_exits_1(self, tmp_path, capsys):
+        assert main(["gen", "--clusters", "1", "--per-cluster", "2", "--spread", "-1",
+                     "--out", str(tmp_path / "x.jsonl")]) == 1
+        assert capsys.readouterr().err == "error: spread must be non-negative\n"
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 class TestVerify:

@@ -1,5 +1,8 @@
 """Coverage reports, greedy nets, exact covering numbers."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -95,6 +98,86 @@ class TestCoverage:
         test = _dataset([(3.0, 4.0)])
         assert coverage(train, test, parse_metric("frobenius")).q[0] == 5.0
         assert coverage(train, test, lambda A, B: 7.0).q[0] == 7.0
+
+
+def _full_scan(train, test, metric, same_label_only=False):
+    """The unpruned reference: every eligible pair solved exactly."""
+    metric = parse_metric(metric)
+    return np.array([
+        min(metric(t.coords, c.coords) for c in train.items
+            if not same_label_only or c.label == t.label)
+        for t in test.items
+    ])
+
+
+def _split_with_ties(seed, d, spread):
+    """A clustered split plus exact ties: two train clouds duplicated (one
+    twice), and a test cloud that is a column-reversed train cloud, so
+    its nearest distance is exactly 0."""
+    train, test = synthetic_split(24, 9, clusters=3, d=d, n_points=6, seed=seed,
+                                  spread=spread)
+    copies = [PointCloud(coords=train.items[i].coords.copy(), label=train.items[i].label)
+              for i in (0, 4, 4)]
+    source = train.items[5]
+    copied_test = PointCloud(coords=source.coords[:, ::-1].copy(), label=source.label)
+    return (Dataset(items=train.items + copies),
+            Dataset(items=test.items[:4] + [copied_test] + test.items[4:]))
+
+
+def _counting(name):
+    calls = [0]
+    base = parse_metric(name)
+
+    def func(X, Y):
+        calls[0] += 1
+        return base.func(X, Y)
+
+    return dataclasses.replace(base, func=func), calls
+
+
+class TestBoundPrunedScan:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("same_label", [False, True])
+    @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
+    def test_equals_full_scan(self, name, same_label, threads):
+        # Wide spreads make near-ties between clusters common; at d = 1
+        # both bounds equal the exact value, so every candidate ties its bound.
+        for seed, d, spread in itertools.product((1, 2, 3), (1, 3), (0.08, 0.3)):
+            train, test = _split_with_ties(seed, d, spread)
+            report = coverage(train, test, name, same_label_only=same_label,
+                              threads=threads)
+            expected = _full_scan(train, test, name, same_label)
+            assert np.array_equal(report.q, expected), (seed, d, spread)
+            assert report.q[4] == 0.0
+
+    @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
+    def test_skips_exact_solves_on_clustered_split(self, name):
+        train, test = synthetic_split(60, 15, clusters=3, d=3, n_points=8, seed=4)
+        metric, calls = _counting(name)
+        report = coverage(train, test, metric)
+        assert calls[0] < len(train) * len(test)
+        assert np.array_equal(report.q, _full_scan(train, test, name))
+
+    def test_metric_without_bound_solves_every_pair(self):
+        train, test = synthetic_split(12, 5, clusters=3, d=2, n_points=4, seed=6)
+        metric, calls = _counting("mean-euclidean")
+        assert metric.lower_bound is None
+        coverage(train, test, metric)
+        assert calls[0] == len(train) * len(test)
+
+    def test_negative_custom_metric_is_not_pruned(self):
+        train = _dataset([(0.0,), (1.0,), (2.0,)])
+        test = _dataset([(0.0,)])
+        values = iter([-1.0, -3.0, -2.0])
+        assert coverage(train, test, lambda A, B: next(values)).q[0] == -3.0
+
+    @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
+    def test_mixed_shapes_raise_from_first_pair(self, name):
+        rng = np.random.default_rng(0)
+        train = Dataset(items=[PointCloud(coords=rng.random((3, 5))) for _ in range(3)])
+        test = Dataset(items=[PointCloud(coords=rng.random((3, 6)))])
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 6\) vs \(3, 5\)"):
+            coverage(train, test, name)
 
 
 class TestGreedy:

@@ -356,6 +356,59 @@ class TestQuotientLowerBound:
                 assert perm_quotient_pnorm(x, y, p=p) <= canonized + TOL
 
 
+class TestMarginalCentroidLowerBound:
+    """lower_bound <= quotient <= canonized: sorted marginals and
+    centroids bound the permutation quotients from below."""
+
+    PAIRS = (("perm-sum", "mean-euclidean", dist_mean_euclidean),
+             ("perm-bottleneck", "inf", dist_inf))
+
+    def test_sandwich(self, rng):
+        for _ in range(300):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            X, Y = rng.random((d, n)), rng.random((d, n))
+            for name, base, dist in self.PAIRS:
+                lower = parse_metric(name).lower_bound(X, Y[None])
+                assert lower.shape == (1,)
+                quotient = brute_perm_quotient(X, Y, base)
+                assert lower[0] <= quotient + TOL, name
+                for canonized in (
+                    dist(canon_hilbert(X, m=4).cloud, canon_hilbert(Y, m=4).cloud),
+                    dist(canon_lexsort(X).cloud, canon_lexsort(Y).cloud),
+                ):
+                    assert quotient <= canonized + TOL, name
+
+    def test_exact_in_one_dimension(self, rng):
+        # For d = 1 the sorted marginal is the optimal matching itself.
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            X, Y = rng.random((1, n)), rng.random((1, n))
+            assert abs(parse_metric("perm-sum").lower_bound(X, Y[None])[0]
+                       - perm_quotient_sum(X, Y)) <= TOL
+            assert (parse_metric("perm-bottleneck").lower_bound(X, Y[None])[0]
+                    == perm_quotient_bottleneck(X, Y))
+
+    def test_centroid_term_beats_marginals(self):
+        # Both axes shift by 1: each marginal gap is 1, the centroid gap sqrt(2).
+        X = np.zeros((2, 3))
+        assert parse_metric("perm-sum").lower_bound(X, (X + 1.0)[None])[0] == np.sqrt(2.0)
+
+    def test_stack_matches_one_at_a_time(self, rng):
+        X, B = rng.random((3, 7)), rng.random((9, 3, 7))
+        for name, _, _ in self.PAIRS:
+            bound = parse_metric(name).lower_bound
+            stacked = bound(X, B)
+            assert stacked.shape == (9,)
+            for c in range(9):
+                assert stacked[c] == bound(X, B[c:c + 1])[0]
+
+    def test_only_permutation_quotients_carry_a_bound(self):
+        for name in METRIC_CHOICES:
+            has_bound = parse_metric(name).lower_bound is not None
+            assert has_bound == (name in ("perm-sum", "perm-bottleneck")), name
+        assert parse_metric(dist_inf).lower_bound is None
+
+
 class TestIsometryCertificates:
     def test_sort_is_isometry(self, rng):
         for _ in range(300):
