@@ -107,10 +107,18 @@ def _align_columns(rows) -> str:
 
 
 def _cmd_bounds(args) -> int:
-    n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
+    try:
+        n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError("n must be a comma-separated list of integers, "
+                         f"got {args.n!r}") from None
     if not n_list:
         raise ValueError("need at least one n")
-    m = None if args.m.strip().lower() == "limit" else int(args.m)
+    try:
+        m = None if args.m.strip().lower() == "limit" else int(args.m)
+    except ValueError:
+        raise ValueError("curve order must be an integer or 'limit', "
+                         f"got {args.m!r}") from None
     entries = bounds_mod.bounds_table(n_list=n_list, d=args.d, eps=args.eps, m=m)
     if args.format in ("text", "csv"):
         by_key = {(e.formula, e.n): bounds_mod.sci_string(e.value) for e in entries}

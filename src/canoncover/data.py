@@ -114,6 +114,8 @@ def synthetic_dataset(n_items: int, clusters: int, d: int, n_points: int,
     """
     if min(n_items, clusters, d, n_points) < 1:
         raise ValueError("sizes must be positive")
+    if not np.isfinite(spread):
+        raise ValueError(f"spread must be finite, got {spread}")
     if spread < 0:
         raise ValueError("spread must be non-negative")
     rng = np.random.default_rng(seed)

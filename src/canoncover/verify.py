@@ -345,6 +345,23 @@ def _check_bounds_table(rng):
         assert rendered[key] == expected, (key, rendered[key], expected)
 
 
+def _check_mantissa_brackets(rng):
+    # Integer certificate of the formatted magnitudes, no Decimal: the
+    # digit count brackets x between powers of ten, and m * 10^e lies
+    # within half a unit of the mantissa's last place (10^(e-1)) of x,
+    # with both sides times 10 so that e = 0 needs no fractions.
+    n_list = bounds.DEFAULT_TABLE_N + (50000,)
+    for entry in bounds.bounds_table(n_list=n_list):
+        x = entry.value.exact
+        digits = bounds.digit_count(x)
+        assert 10 ** (digits - 1) <= x < 10 ** digits, (entry.formula, entry.n)
+        mant, exp = bounds.mantissa_exponent(entry.value)
+        tenths = round(mant * 10)
+        assert tenths / 10 == mant and 10 <= tenths <= 99, (entry.formula, entry.n, mant)
+        assert ((2 * tenths - 1) * 10 ** exp <= 20 * x
+                <= (2 * tenths + 1) * 10 ** exp), (entry.formula, entry.n, mant, exp)
+
+
 def _check_multiset_brute(rng):
     for n in range(1, 6):
         for m in range(1, 6):
@@ -408,6 +425,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
     ],
     "bounds": [
         ("reference table cells", _check_bounds_table),
+        ("mantissa/exponent brackets the exact integer", _check_mantissa_brackets),
         ("multiset count brute force", _check_multiset_brute),
         ("exact/log consistency", _check_exact_log_consistency),
         ("quotient below hypercube", _check_quotient_below_hypercube),

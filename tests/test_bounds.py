@@ -1,7 +1,8 @@
 """Covering-number bound calculators and the reference table."""
 
 import math
-from decimal import Decimal, localcontext
+import random
+from decimal import ROUND_UP, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -321,6 +322,65 @@ class TestFormatting:
         assert digit_count(3 ** 12000) == 5726
         with pytest.raises(ValueError):
             digit_count(0)
+
+
+def _decimal_mantissa_exponent(x: int) -> tuple[float, int]:
+    """The Decimal route the integer formatter replaced, kept as its oracle."""
+    mant, _, exp = f"{Decimal(x):.1E}".partition("E")
+    return float(mant), int(exp)
+
+
+def _decimal_digit_count(x: int) -> int:
+    return Decimal(x).adjusted() + 1
+
+
+def _assert_matches_decimal(xs):
+    for x in xs:
+        assert mantissa_exponent(LogValue(0.0, x, "x")) == _decimal_mantissa_exponent(x), x
+        assert digit_count(x) == _decimal_digit_count(x), x
+
+
+class TestFormattingAgainstDecimal:
+    # Every k up to 200, then a stride to 6000, past the int-to-str cap
+    # (4300 digits) on both sides.
+    POWERS = sorted(set(range(201)) | set(range(201, 6001, 97)) | {4299, 4300, 4301, 6000})
+
+    def test_around_powers_of_ten(self):
+        _assert_matches_decimal(x for k in self.POWERS
+                                for x in (10 ** k - 1, 10 ** k, 10 ** k + 1) if x > 0)
+
+    def test_half_even_ties_and_near_ties(self):
+        xs = []
+        for k in range(40):
+            p = 10 ** k
+            xs += [25 * p, 35 * p, 995 * p - 1, 995 * p, 995 * p + 1]
+            # Two-figure ties: 2.25 and 2.35 round to the even 2.2 and 2.4.
+            xs += [t * p + delta for t in (225, 235, 945, 955) for delta in (-1, 0, 1)]
+        xs += [995 * 10 ** 5000 + delta for delta in (-1, 0, 1)]
+        _assert_matches_decimal(xs)
+        assert mantissa_exponent(LogValue(0.0, 225 * 10 ** 30, "x")) == (2.2, 32)
+        assert mantissa_exponent(LogValue(0.0, 225 * 10 ** 30 + 1, "x")) == (2.3, 32)
+        assert mantissa_exponent(LogValue(0.0, 235 * 10 ** 30, "x")) == (2.4, 32)
+        assert mantissa_exponent(LogValue(0.0, 995 * 10 ** 30 - 1, "x")) == (9.9, 32)
+        assert mantissa_exponent(LogValue(0.0, 995 * 10 ** 30, "x")) == (1.0, 33)
+
+    def test_seeded_random_integers(self):
+        rng = random.Random(20261018)
+        _assert_matches_decimal(rng.getrandbits(rng.randint(1, 16000)) or 1
+                                for _ in range(1500))
+
+    def test_every_table_cell_at_large_n(self):
+        entries = bounds_table(n_list=(10000, 50000))
+        assert all(e.value.exact is not None for e in entries)
+        _assert_matches_decimal(e.value.exact for e in entries)
+
+    def test_independent_of_decimal_context(self):
+        value = LogValue(0.0, 2501 * 10 ** 50, "x")
+        with localcontext() as ctx:
+            ctx.rounding = ROUND_UP
+            ctx.prec = 3
+            assert sci_string(value) == "2.5e+53"
+            assert digit_count(value.exact) == 54
 
 
 @settings(max_examples=60, deadline=None)

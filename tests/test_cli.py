@@ -274,6 +274,20 @@ class TestBounds:
         assert main(["bounds", "--n", ""]) == 1
         assert main(["bounds", "--m", "1"]) == 1  # eps=1/6 <= 2^-2
 
+    def test_non_integer_curve_order_exits_1(self, capsys):
+        assert main(["bounds", "--m", "x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: curve order must be an integer or 'limit', got 'x'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("raw", ["abc", "1.5"])
+    def test_non_integer_n_exits_1(self, raw, capsys):
+        assert main(["bounds", "--n", raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: n must be a comma-separated list of integers, "
+                                f"got '{raw}'\n")
+        assert captured.out == ""
+
 
 class TestGen:
     def test_generates_manifest_and_clouds(self, tmp_path, capsys):
@@ -306,6 +320,13 @@ class TestGen:
         assert main(["gen", "--clusters", "1", "--per-cluster", "2", "--spread", "-1",
                      "--out", str(tmp_path / "x.jsonl")]) == 1
         assert capsys.readouterr().err == "error: spread must be non-negative\n"
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("spread", ["inf", "nan"])
+    def test_non_finite_spread_exits_1(self, tmp_path, capsys, spread):
+        assert main(["gen", "--clusters", "1", "--per-cluster", "2", "--spread", spread,
+                     "--out", str(tmp_path / "x.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: spread must be finite, got {spread}\n"
         assert not (tmp_path / "x.jsonl").exists()
 
 
