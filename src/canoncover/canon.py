@@ -24,6 +24,7 @@ __all__ = [
     "canon_centralize",
     "canon_lexsort",
     "canon_hilbert",
+    "canon_hilbert_stack",
     "canon_c1",
     "canon_cinf",
     "pca_align",
@@ -54,10 +55,13 @@ class CanonResult:
     shift: np.ndarray | None = None
 
 
-def _as_cloud(X) -> np.ndarray:
+def _as_cloud(X, ndim: int = 2) -> np.ndarray:
+    """X as a finite float array with `ndim` non-empty axes: a d x n cloud,
+    or (ndim=3) an N x d x n stack of clouds."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise ValueError(f"expected a d x n matrix with d, n >= 1, got shape {X.shape}")
+    if X.ndim != ndim or 0 in X.shape:
+        what = "a d x n matrix with d, n" if ndim == 2 else "an N x d x n stack with N, d, n"
+        raise ValueError(f"expected {what} >= 1, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValueError("cloud contains non-finite entries")
     return X
@@ -131,15 +135,32 @@ def canon_hilbert(X, m: int) -> CanonResult:
     Each column is assigned the curve index of its grid cell; columns are
     sorted by that index, columns sharing a cell lexicographically, and
     identical columns by original position. The permutation is applied to
-    the original (unrounded) columns.
+    the original (unrounded) columns. This is `canon_hilbert_stack` on a
+    stack of one; the cloud is C-ordered whatever the input's layout.
     """
-    X = _as_cloud(X)
-    if np.min(X) < 0.0 or np.max(X) > 1.0:
+    clouds, perms = canon_hilbert_stack(_as_cloud(X)[None], m)
+    return CanonResult(cloud=clouds[0], perm=perms[0])
+
+
+def canon_hilbert_stack(B, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`canon_hilbert` of every cloud in an N x d x n stack, in one pass.
+
+    Returns (N x d x n C-ordered canonical clouds, N x n permutations),
+    with clouds[k] == B[k][:, perms[k]]. One `cloud_indices` call covers
+    the columns of all N clouds, and one lexsort orders them with the
+    item number as its most significant key, so each item's order is
+    exactly the one `canon_hilbert` gives it alone.
+    """
+    B = _as_cloud(B, ndim=3)
+    if np.min(B) < 0.0 or np.max(B) > 1.0:
         raise ValueError("hilbert canonization requires all entries in [0, 1]")
-    params = HilbertParams(d=X.shape[0], m=m)
-    idx = cloud_indices(params, X)
-    order = np.lexsort(tuple(X[::-1]) + (idx,))
-    return CanonResult(cloud=X[:, order], perm=order)
+    N, d, n = B.shape
+    params = HilbertParams(d=d, m=m)
+    columns = B.transpose(1, 0, 2).reshape(d, N * n)
+    idx = cloud_indices(params, columns)
+    item = np.repeat(np.arange(N), n)
+    perms = np.lexsort(tuple(columns[::-1]) + (idx, item)).reshape(N, n) % n
+    return np.take_along_axis(B, perms[:, None, :], axis=2), perms
 
 
 def canon_c1(t: float) -> float:

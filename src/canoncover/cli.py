@@ -209,7 +209,8 @@ def build_parser() -> _Parser:
                         f"(one of: {', '.join(CANON_CHOICES)})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_parse_threads, default=None,
-                   help=f"worker count or 'auto' (default ${THREADS_ENV} or 1)")
+                   help=f"worker count or 'auto' (default ${THREADS_ENV} or 1); "
+                        "validated but has no effect: the scan is serial")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_coverage)
 

@@ -12,7 +12,6 @@ input points themselves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,8 +78,10 @@ def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = Fals
 
     With same_label_only, each test item is compared only against train
     items sharing its label; a label with no train representative raises
-    LabelCoverageError. The scan over test items may fan out over
-    `threads` workers; the result does not depend on thread count.
+    LabelCoverageError. `threads` is accepted for compatibility and has
+    no effect: the scan runs in the calling thread, because each exact
+    solve holds the interpreter lock and measured thread pools ran no
+    faster.
 
     Each test item scans its eligible train items in ascending order of
     the metric's lower bound and stops once the next bound exceeds the
@@ -124,11 +125,7 @@ def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = Fals
                 best = value
         return best
 
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            q = np.array(list(pool.map(nearest, range(len(test.items)))))
-    else:
-        q = np.array([nearest(t) for t in range(len(test.items))])
+    q = np.array([nearest(t) for t in range(len(test.items))])
     return CoverageReport(
         q=q,
         mean_coverage=float(np.mean(q)),

@@ -141,6 +141,19 @@ def synthetic_split(n_train: int, n_test: int, clusters: int, d: int, n_points: 
 CANON_CHOICES = ("sort", "lexsort", "hilbert:<m>", "centralize", "pca-skew")
 
 
+def _hilbert_order(name: str) -> int | None:
+    """The order m of a normalized "hilbert:<m>" spec; None for other specs."""
+    if not name.startswith("hilbert"):
+        return None
+    _, _, arg = name.partition(":")
+    if not arg:
+        raise ValueError("hilbert canonization needs an order, e.g. hilbert:6")
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"hilbert order must be an integer, got {arg!r}") from None
+
+
 def apply_canon(coords: np.ndarray, spec: str) -> tuple[np.ndarray, dict]:
     """Run the canonization named by `spec` on a d x n matrix.
 
@@ -159,14 +172,8 @@ def apply_canon(coords: np.ndarray, spec: str) -> tuple[np.ndarray, dict]:
     if name == "lexsort":
         res = _canon.canon_lexsort(coords)
         return res.cloud, {"method": "lexsort", "perm": res.perm.tolist()}
-    if name.startswith("hilbert"):
-        _, _, arg = name.partition(":")
-        if not arg:
-            raise ValueError("hilbert canonization needs an order, e.g. hilbert:6")
-        try:
-            m = int(arg)
-        except ValueError:
-            raise ValueError(f"hilbert order must be an integer, got {arg!r}") from None
+    m = _hilbert_order(name)
+    if m is not None:
         res = _canon.canon_hilbert(coords, m=m)
         return res.cloud, {"method": name, "perm": res.perm.tolist()}
     if name == "centralize":
@@ -187,9 +194,20 @@ def apply_canon(coords: np.ndarray, spec: str) -> tuple[np.ndarray, dict]:
 
 
 def canonize_dataset(ds: Dataset, spec: str) -> Dataset:
-    """Canonize every item, preserving labels."""
-    items = [
-        PointCloud(coords=apply_canon(item.coords, spec)[0], label=item.label)
-        for item in ds.items
-    ]
+    """Canonize every item, preserving labels.
+
+    The result equals `apply_canon` item by item. A "hilbert:<m>" spec
+    over a non-empty dataset whose clouds share one shape runs as one
+    `canon_hilbert_stack` call, and its clouds are C-ordered views into
+    one stacked array. Mixed shapes, empty datasets and the other specs
+    canonize one item at a time.
+    """
+    shapes = {item.coords.shape for item in ds.items}
+    m = _hilbert_order(spec.strip().lower()) if len(shapes) == 1 else None
+    if m is None:
+        clouds = [apply_canon(item.coords, spec)[0] for item in ds.items]
+    else:
+        clouds, _ = _canon.canon_hilbert_stack(np.stack([item.coords for item in ds.items]), m)
+    items = [PointCloud(coords=cloud, label=item.label)
+             for cloud, item in zip(clouds, ds.items)]
     return Dataset(items=items, name=f"{ds.name}:{spec}" if ds.name else spec)

@@ -4,8 +4,13 @@ A quotient metric is the distance between orbits: the minimum of the base
 metric over one input's group orbit. The permutation quotients use exact
 solvers, both through scipy's `linear_sum_assignment`: optimal assignment
 for the summed cost, and threshold search with an assignment-solver
-feasibility test for the bottleneck cost. `brute_perm_quotient` is the
-exhaustive oracle used to cross-check them on small instances.
+feasibility test for the bottleneck cost. Both take their n x n
+column-pair costs from scipy's `cdist`, which sums each pair's
+coordinates in one fixed order: the cost, and so the value, does not
+depend on the memory layout of the inputs, and Fortran-ordered clouds
+(as `read_cloud` returns them) cost no more than C-ordered ones.
+`brute_perm_quotient` is the exhaustive oracle used to cross-check them
+on small instances; it keeps its own broadcast cost.
 
 `parse_metric` attaches a batched lower bound to the two permutation
 quotients, for pruning coverage scans. Sorting is an exact 1-d isometry,
@@ -22,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .canon import canon_centralize
 
@@ -105,16 +111,6 @@ def wasserstein_1d(x, y, p=2) -> float:
     raise ValueError(f"p must be 1, 2, or inf, got {p!r}")
 
 
-def _column_cost(X, Y, kind: str) -> np.ndarray:
-    """n x n matrix of column-pair costs; entry (i, j) = cost(X_i, Y_j)."""
-    diff = X[:, :, None] - Y[:, None, :]
-    if kind == "l2":
-        return np.sqrt(np.sum(diff**2, axis=0))
-    if kind == "linf":
-        return np.max(np.abs(diff), axis=0)
-    raise ValueError(kind)
-
-
 def perm_quotient_sum(X, Y) -> float:
     """Permutation-quotient of the mean-euclidean metric.
 
@@ -124,7 +120,7 @@ def perm_quotient_sum(X, Y) -> float:
     X, Y = _pair(X, Y)
     if X.ndim != 2:
         raise ValueError("perm quotient needs d x n matrices")
-    cost = _column_cost(X, Y, "l2")
+    cost = cdist(X.T, Y.T, "euclidean")
     rows, cols = linear_sum_assignment(cost)
     return _finalize(cost[rows, cols].sum() / X.shape[1])
 
@@ -160,7 +156,7 @@ def perm_quotient_bottleneck(X, Y) -> float:
     X, Y = _pair(X, Y)
     if X.ndim != 2:
         raise ValueError("perm quotient needs d x n matrices")
-    return _finalize(_bottleneck_assignment(_column_cost(X, Y, "linf")))
+    return _finalize(_bottleneck_assignment(cdist(X.T, Y.T, "chebyshev")))
 
 
 def perm_quotient_pnorm(x, y, p=2) -> float:
@@ -251,14 +247,16 @@ def brute_perm_quotient(X, Y, base) -> float:
             min(base(X[:, perm], Y) for perm in itertools.permutations(range(n)))
         )
     perms = np.array(list(itertools.permutations(range(n))))
+    # Column-pair costs from a broadcast, independent of the solvers' cdist.
+    diff = X[:, :, None] - Y[:, None, :]
     if base == "mean-euclidean":
-        cost = _column_cost(X, Y, "l2")
+        cost = np.sqrt(np.sum(diff**2, axis=0))
         return _finalize(cost[perms, np.arange(n)].sum(axis=1).min() / n)
     if base == "inf":
-        cost = _column_cost(X, Y, "linf")
+        cost = np.max(np.abs(diff), axis=0)
         return _finalize(cost[perms, np.arange(n)].max(axis=1).min())
     if base == "frobenius":
-        sq = np.sum((X[:, :, None] - Y[:, None, :]) ** 2, axis=0)
+        sq = np.sum(diff**2, axis=0)
         return _finalize(np.sqrt(sq[perms, np.arange(n)].sum(axis=1).min()))
     if base in ("wasserstein-p1", "wasserstein-p2", "wasserstein-pinf"):
         if X.shape[0] != 1:

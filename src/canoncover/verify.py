@@ -201,6 +201,21 @@ def _check_canon_orbit_invariance(rng):
         assert canon.canon_c1(-t) == canon.canon_c1(t)
 
 
+def _check_canon_hilbert_stack(rng):
+    for params in _params_grid():
+        n = int(rng.integers(1, 13))
+        B = rng.random((6, params.d, n))
+        B[:, :, 0] = 0.0
+        B[1:3, :, -1] = 1.0
+        B[3] = B[4]
+        B[5, :, n // 2] = B[5, :, 0]
+        clouds, perms = canon.canon_hilbert_stack(B, params.m)
+        for k in range(len(B)):
+            one = canon.canon_hilbert(B[k], params.m)
+            assert np.array_equal(clouds[k], one.cloud), (params, k)
+            assert np.array_equal(perms[k], one.perm), (params, k)
+
+
 def _check_metric_axioms(rng):
     names = ["inf", "frobenius", "mean-euclidean", "perm-sum",
              "perm-bottleneck", "translation", "sign:inf"]
@@ -400,6 +415,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("orbit membership", _check_canon_orbit_membership),
         ("orbit invariance", _check_canon_orbit_invariance),
         ("pca alignment diagonalizes and is idempotent", _check_pca_align),
+        ("stacked hilbert canonization matches per-item", _check_canon_hilbert_stack),
     ],
     "metrics": [
         ("symmetry and triangle inequality", _check_metric_axioms),

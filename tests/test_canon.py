@@ -16,6 +16,7 @@ from canoncover.canon import (
     canon_centralize,
     canon_cinf,
     canon_hilbert,
+    canon_hilbert_stack,
     canon_lexsort,
     canon_skewness_sign,
     canon_sort,
@@ -23,7 +24,7 @@ from canoncover.canon import (
     pca_align,
     sign_orbit,
 )
-from canoncover.hilbert import HilbertParams, snap_to_centroids
+from canoncover.hilbert import HilbertParams, cloud_indices, snap_to_centroids
 
 from conftest import random_cloud
 
@@ -249,6 +250,70 @@ class TestHilbertCanon:
             X = random_cloud(rng)
             res = canon_hilbert(X, m=5)
             np.testing.assert_array_equal(X[:, res.perm], res.cloud)
+
+
+def hard_stack(rng, N, d, n, m):
+    """N x d x n stack in [0, 1] with the ties the sort has to break: an
+    all-0.0 and an all-1.0 column, a duplicated column, a column moved to
+    the lower corner of another's grid cell, and a repeated item."""
+    B = rng.random((N, d, n))
+    B[:, :, 0] = 0.0
+    if n > 1:
+        B[:, :, 1] = 1.0
+    if n > 3:
+        B[:, :, 3] = B[:, :, n - 1]
+    if n > 5:
+        B[:, :, 4] = np.floor(B[:, :, 5] * 2.0**m) / 2.0**m
+    if N > 1:
+        B[-1] = B[0]
+    return B
+
+
+# d·m = 62 is the largest grid a uint64 curve index holds.
+STACK_PARAMS = [(1, 1), (1, 8), (1, 53), (1, 62), (2, 3), (2, 31),
+                (3, 1), (3, 8), (3, 20), (4, 2), (4, 15)]
+
+
+class TestHilbertStack:
+    @pytest.mark.parametrize("d,m", STACK_PARAMS)
+    def test_matches_per_item(self, rng, d, m):
+        for N, n in ((1, 1), (1, 9), (5, 2), (7, 16)):
+            B = hard_stack(rng, N, d, n, m)
+            clouds, perms = canon_hilbert_stack(B, m)
+            assert clouds.shape == B.shape and perms.shape == (N, n)
+            for k in range(N):
+                one = canon_hilbert(B[k], m)
+                assert np.array_equal(clouds[k], one.cloud)
+                assert np.array_equal(perms[k], one.perm)
+                # The single-cloud rule: curve index, then the rows
+                # lexicographically, then original position.
+                idx = cloud_indices(HilbertParams(d=d, m=m), B[k])
+                assert np.array_equal(perms[k], np.lexsort(tuple(B[k][::-1]) + (idx,)))
+                assert np.array_equal(clouds[k], B[k][:, perms[k]])
+
+    def test_output_is_c_ordered_for_either_layout(self, rng):
+        B = rng.random((4, 3, 10))
+        for stack in (B, np.asfortranarray(B)):
+            clouds, _ = canon_hilbert_stack(stack, 5)
+            assert clouds.flags["C_CONTIGUOUS"]
+        X = np.asfortranarray(B[0])
+        res = canon_hilbert(X, 5)
+        assert res.cloud.flags["C_CONTIGUOUS"]
+        assert np.array_equal(res.cloud, X[:, res.perm])
+
+    def test_rejects_bad_stacks(self):
+        B = np.full((2, 1, 3), 0.5)
+        B[1, 0, 2] = 1.5
+        with pytest.raises(ValueError, match="requires all entries in"):
+            canon_hilbert_stack(B, 3)
+        with pytest.raises(ValueError, match="N x d x n stack"):
+            canon_hilbert_stack(np.full((1, 3), 0.5), 3)
+        with pytest.raises(ValueError, match="N x d x n stack"):
+            canon_hilbert_stack(np.zeros((0, 1, 3)), 3)
+        with pytest.raises(ValueError, match="non-finite"):
+            canon_hilbert_stack(np.full((2, 1, 3), np.nan), 3)
+        with pytest.raises(ValueError, match="d\\*m = 64 exceeds 62"):
+            canon_hilbert_stack(np.full((2, 2, 3), 0.5), 32)
 
 
 class TestJacobi:

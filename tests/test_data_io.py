@@ -204,6 +204,48 @@ class TestCanonizeDataset:
             np.testing.assert_array_equal(
                 item.coords, apply_canon(ref.coords, "lexsort")[0])
 
+    @pytest.mark.parametrize("d,m", [(1, 62), (2, 31), (3, 8), (4, 15)])
+    def test_hilbert_stack_matches_apply_canon(self, d, m):
+        ds = synthetic_dataset(9, 3, d, 12, seed=d)
+        ds.items[0].coords[:, 0] = 0.0
+        ds.items[0].coords[:, 1] = 1.0
+        ds.items[1].coords[:, 3] = ds.items[1].coords[:, 4]
+        ds.items[2].coords[:, 5] = np.floor(ds.items[2].coords[:, 6] * 2.0**m) / 2.0**m
+        for sub in (Dataset(items=ds.items[:1]), ds):
+            out = canonize_dataset(sub, f"hilbert:{m}")
+            for item, ref in zip(out.items, sub.items):
+                expected = apply_canon(ref.coords, f"hilbert:{m}")[0]
+                assert np.array_equal(item.coords, expected)
+                assert item.coords.flags["C_CONTIGUOUS"]
+                assert item.label == ref.label
+
+    def test_mixed_shapes_take_the_per_item_path(self, rng):
+        ds = Dataset(items=[PointCloud(rng.random((2, n)), label=n) for n in (3, 5, 3, 1)])
+        out = canonize_dataset(ds, "hilbert:6")
+        assert out.labels == ds.labels
+        for item, ref in zip(out.items, ds.items):
+            assert np.array_equal(item.coords, apply_canon(ref.coords, "hilbert:6")[0])
+
+    def test_empty_dataset(self):
+        for spec in ("hilbert:4", "hilbert"):
+            assert len(canonize_dataset(Dataset(), spec)) == 0
+
+    @pytest.mark.parametrize("spec,coords", [
+        ("hilbert", [[0.5, 0.25]]),
+        ("hilbert:x", [[0.5, 0.25]]),
+        ("hilbert:0", [[0.5, 0.25]]),
+        ("hilbert:32", [[0.5, 0.25], [0.5, 0.75]]),
+        ("hilbert:4", [[0.5, 1.25]]),
+    ])
+    def test_errors_match_apply_canon(self, spec, coords):
+        coords = np.array(coords)
+        with pytest.raises(ValueError) as per_item:
+            apply_canon(coords, spec)
+        ds = Dataset(items=[PointCloud(coords * 0.5), PointCloud(coords)])
+        with pytest.raises(ValueError) as stacked:
+            canonize_dataset(ds, spec)
+        assert str(stacked.value) == str(per_item.value)
+
 
 class TestCloudCsv:
     def test_round_trip(self, tmp_path, rng):

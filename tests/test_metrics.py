@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from canoncover.canon import (
     canon_abs,
@@ -201,6 +202,42 @@ class TestPermQuotients:
                             (np.inf, "wasserstein-pinf")):
                 brute = brute_perm_quotient(x[None, :], y[None, :], base)
                 assert abs(perm_quotient_pnorm(x, y, p=p) - brute) <= TOL
+
+    def test_cdist_cost_equals_broadcast(self):
+        # The solvers' cdist cost against the (d, n, n) broadcast it
+        # replaced, in both layouts; every third instance is rounded to 0.1
+        # for tied costs. For d < 8 numpy sums the broadcast's d terms one
+        # after another, as cdist does, so the match is exact.
+        rng = np.random.default_rng(515)
+        for i in range(300):
+            d, n = int(rng.integers(1, 7)), int(rng.integers(1, 65))
+            X, Y = rng.random((d, n)), rng.random((d, n))
+            if i % 3 == 0:
+                X, Y = X.round(1), Y.round(1)
+            diff = X[:, :, None] - Y[:, None, :]
+            l2 = np.sqrt(np.sum(diff**2, axis=0))
+            linf = np.max(np.abs(diff), axis=0)
+            for A, B in ((X, Y), (np.asfortranarray(X), np.asfortranarray(Y))):
+                assert np.array_equal(cdist(A.T, B.T, "euclidean"), l2)
+                assert np.array_equal(cdist(A.T, B.T, "chebyshev"), linf)
+            rows, cols = linear_sum_assignment(l2)
+            assert perm_quotient_sum(X, Y) == l2[rows, cols].sum() / n
+
+    def test_values_do_not_depend_on_layout(self):
+        # d reaches 8 and above, where numpy's broadcast sum over
+        # Fortran-ordered clouds adds the d terms in another order.
+        rng = np.random.default_rng(606)
+        for i in range(150):
+            d, n = int(rng.integers(1, 13)), int(rng.integers(1, 33))
+            X, Y = rng.random((d, n)), rng.random((d, n))
+            if i % 3 == 0:
+                X, Y = X.round(1), Y.round(1)
+            FX, FY = np.asfortranarray(X), np.asfortranarray(Y)
+            for quotient in (perm_quotient_sum, perm_quotient_bottleneck):
+                value = quotient(X, Y)
+                assert quotient(FX, FY) == value
+                assert quotient(X, FY) == value
+                assert quotient(FX, Y) == value
 
     def test_pnorm_bad_p(self):
         with pytest.raises(ValueError):
