@@ -68,8 +68,7 @@ def _cmd_canonize(args) -> int:
     record = {"input": args.input, "output": args.output, **record}
     sidecar = args.output + ".group.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     print(f"wrote {args.output} and {sidecar}")
     return 0
 

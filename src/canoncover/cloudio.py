@@ -30,6 +30,10 @@ def format_number(v: float) -> str:
     return f"{float(v):.12g}"
 
 
+# ASCII separators: whitespace to str.strip() and np.loadtxt, not to float().
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def _parse_row(line: str) -> list[float] | None:
     try:
         return [float(tok) for tok in line.split(",")]
@@ -37,39 +41,83 @@ def _parse_row(line: str) -> list[float] | None:
         return None
 
 
-def read_cloud(path) -> np.ndarray:
-    """Load a CSV cloud file into a d x n matrix (columns are points)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            row = _parse_row(line)
-            if row is None:
-                if lineno == 1:  # header row
-                    continue
-                raise ValueError(f"{path}:{lineno}: unparseable row {line!r}")
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: rows have mixed column counts {sorted(widths)}")
-    coords = np.array(rows, dtype=float).T
+def _finite(path, coords: np.ndarray) -> np.ndarray:
     if not np.isfinite(coords).all():
         raise ValueError(f"{path}: non-finite value (nan or inf) in cloud")
     return coords
 
 
+def _parse_lines(path, lines) -> np.ndarray:
+    """Parse cloud CSV lines one at a time into a d x n matrix.
+
+    This is the reference for `read_cloud` and the one source of its
+    error messages. Lines are stripped, blank ones skipped, and each cell
+    goes through `float()`. A first line that does not parse is a header.
+    """
+    rows = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        row = _parse_row(line)
+        if row is None:
+            if lineno == 1:  # header row
+                continue
+            raise ValueError(f"{path}:{lineno}: unparseable row {line!r}")
+        rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: rows have mixed column counts {sorted(widths)}")
+    return _finite(path, np.array(rows, dtype=float).T)
+
+
+def read_cloud(path) -> np.ndarray:
+    """Load a CSV cloud file into a d x n matrix (columns are points).
+
+    One point per row, cells separated by commas; whitespace around a cell
+    is allowed. Only the first line may be a header (any line that does not
+    parse as numbers); blank lines are skipped, and `#` comments are not
+    accepted. Every row must have the same width and every value must be
+    finite, or ValueError names the file (and the line, for a bad row).
+    The result is Fortran-ordered: each point's coordinates are adjacent.
+
+    The whole file is parsed by one `np.loadtxt` call. Files it rejects
+    (bad or ragged rows, whitespace-only lines, `float()` spellings such as
+    `1_0` that it does not take) go through the line parser, which accepts
+    or rejects them as the reference does and words the error.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    text = "".join(lines)
+    # A first line that does not parse is a header, or blank: skip it.
+    skip = int(not lines or _parse_row(lines[0].strip()) is None)
+    # loadtxt warns on input with no rows, so it only sees files whose first
+    # line after the header holds data. It also takes \x1c-\x1f around a
+    # cell for whitespace, which float() does not.
+    if skip < len(lines) and lines[skip].strip() and not any(c in text for c in _SEPARATORS):
+        try:
+            coords = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
+                                skiprows=skip, dtype=float).T
+        except ValueError:
+            pass
+        else:
+            return _finite(path, coords)
+    return _parse_lines(path, lines)
+
+
 def write_cloud(path, coords: np.ndarray) -> None:
-    """Write a d x n matrix as CSV, one point per row, 12 significant digits."""
+    """Write a d x n matrix as CSV, one point per row.
+
+    Each value is written as `format_number` writes it, at 12 significant
+    digits, so a file read back may differ from `coords` in the last
+    digits. The whole file is built by one %-format call.
+    """
     coords = np.asarray(coords, dtype=float)
-    # One format call over every value writes the same text as format_number
-    # applied per value, about three times faster.
-    row = ",".join(["{:.12g}"] * coords.shape[0]) + "\n"
+    row = ",".join(["%.12g"] * coords.shape[0]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write((row * coords.shape[1]).format(*coords.T.ravel().tolist()))
+        fh.write((row * coords.shape[1]) % tuple(coords.T.ravel().tolist()))
 
 
 def read_manifest(path, rng=None) -> Dataset:

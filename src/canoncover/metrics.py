@@ -77,10 +77,20 @@ def dist_inf(X, Y) -> float:
     return _finalize(np.max(np.abs(X - Y)))
 
 
+def _point_major_squares(X, Y) -> np.ndarray:
+    """(X - Y)**2 transposed to a C-ordered n x d array.
+
+    numpy sums in memory order, so the base metrics reduce this array, not
+    X - Y: their values then do not depend on the inputs' layout, and equal
+    what summing Fortran-ordered clouds (as `read_cloud` returns them) gives.
+    """
+    return np.ascontiguousarray((X - Y).T) ** 2
+
+
 def dist_frobenius(X, Y) -> float:
     """Frobenius-norm distance."""
     X, Y = _pair(X, Y)
-    return _finalize(np.sqrt(np.sum((X - Y) ** 2)))
+    return _finalize(np.sqrt(np.sum(_point_major_squares(X, Y))))
 
 
 def dist_mean_euclidean(X, Y) -> float:
@@ -88,7 +98,7 @@ def dist_mean_euclidean(X, Y) -> float:
     X, Y = _pair(X, Y)
     if X.ndim != 2:
         raise ValueError("mean-euclidean distance needs d x n matrices")
-    return _finalize(np.mean(np.sqrt(np.sum((X - Y) ** 2, axis=0))))
+    return _finalize(np.mean(np.sqrt(np.sum(_point_major_squares(X, Y), axis=1))))
 
 
 def wasserstein_1d(x, y, p=2) -> float:

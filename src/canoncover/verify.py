@@ -452,7 +452,11 @@ SUITE_NAMES = tuple(list(SUITES) + ["all"])
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    """Run one suite (or 'all'); unknown names raise ValueError."""
+    """Run one suite (or 'all'); unknown names raise ValueError.
+
+    A check fails by raising: an AssertionError's message is its detail,
+    and any other exception is reported as "<ExceptionType>: <message>".
+    """
     if name == "all":
         checks = [(f"{suite}: {label}", fn)
                   for suite in SUITES for label, fn in SUITES[suite]]
@@ -468,4 +472,7 @@ def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
             results.append(CheckResult(name=label, passed=True))
         except AssertionError as exc:
             results.append(CheckResult(name=label, passed=False, detail=str(exc)))
+        except Exception as exc:  # a check that crashes has failed; run the rest
+            results.append(CheckResult(name=label, passed=False,
+                                       detail=f"{type(exc).__name__}: {exc}"))
     return results

@@ -21,6 +21,16 @@ def _write(tmp_path, name, coords):
     return str(path)
 
 
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _make_manifests(tmp_path, seed=0):
     train_dir = tmp_path / "train"
     test_dir = tmp_path / "test"
@@ -57,6 +67,15 @@ class TestCanonize:
         replay = read_cloud(src)[:, record["perm"]]
         np.testing.assert_array_equal(read_cloud(out), replay)
 
+    def test_output_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.csv").write_text("0.5,0.25\n0.125,0.75\n1,0\n")
+        assert main(["canonize", "in.csv", "out.csv", "--method", "lexsort"]) == 0
+        assert _read_bytes("out.csv") == b"0.125,0.75\n0.5,0.25\n1,0\n"
+        assert _read_bytes("out.csv.group.json") == (
+            b'{\n  "input": "in.csv",\n  "method": "lexsort",\n  "output": "out.csv",\n'
+            b'  "perm": [\n    1,\n    0,\n    2\n  ]\n}\n')
+
     def test_idempotent_and_permutation_invariant(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         X = rng.random((3, 10))
@@ -66,9 +85,9 @@ class TestCanonize:
         assert main(["canonize", src, outs[0], "--method", "hilbert:5"]) == 0
         assert main(["canonize", outs[0], outs[1], "--method", "hilbert:5"]) == 0
         assert main(["canonize", src_perm, outs[2], "--method", "hilbert:5"]) == 0
-        first = open(outs[0], "rb").read()
-        assert open(outs[1], "rb").read() == first
-        assert open(outs[2], "rb").read() == first
+        first = _read_bytes(outs[0])
+        assert _read_bytes(outs[1]) == first
+        assert _read_bytes(outs[2]) == first
 
     def test_unknown_method_exits_1(self, tmp_path, capsys):
         src = _write(tmp_path, "in.csv", [[1.0, 2.0]])
@@ -136,8 +155,8 @@ class TestCoverage:
                 "--metric", "perm-sum", "--seed", "3"]
         assert main(args + ["--output", out1]) == 0
         assert main(args + ["--output", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-        payload = json.load(open(out1, encoding="utf-8"))
+        assert _read_bytes(out1) == _read_bytes(out2)
+        payload = _load_json(out1)
         assert payload["metric"] == "perm-sum"
         assert payload["seed"] == 3 and payload["canon"] is None
         assert len(payload["q"]) == 3
@@ -150,7 +169,7 @@ class TestCoverage:
         outs = [str(tmp_path / f"t{i}.json") for i in range(2)]
         assert main(args + ["--output", outs[0], "--threads", "1"]) == 0
         assert main(args + ["--output", outs[1], "--threads", "4"]) == 0
-        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        assert _read_bytes(outs[0]) == _read_bytes(outs[1])
 
     def test_threads_env_var(self, tmp_path, capsys, monkeypatch):
         train, test = _make_manifests(tmp_path)
@@ -172,8 +191,8 @@ class TestCoverage:
                             "--output", quotient_out]) == 0
         assert main(base + ["--metric", "mean-euclidean", "--canon", "lexsort",
                             "--output", canon_out]) == 0
-        q = json.load(open(quotient_out, encoding="utf-8"))["q"]
-        c = json.load(open(canon_out, encoding="utf-8"))["q"]
+        q = _load_json(quotient_out)["q"]
+        c = _load_json(canon_out)["q"]
         assert all(a <= b + 1e-9 for a, b in zip(q, c))
 
     def test_same_label_missing_exits_1(self, tmp_path, capsys):
@@ -251,7 +270,7 @@ class TestBounds:
         assert main(["bounds", "--n", "250,4000", "--output", out,
                      "--format", "json"]) == 0
         items = {(i["formula"], i["n"]): i
-                 for i in json.load(open(out, encoding="utf-8"))}
+                 for i in _load_json(out)}
         assert items[("quotient-upper", 250)]["value"] == "2.1e+36"
         assert "exact" in items[("quotient-upper", 250)]
         assert "exact" in items[("hypercube-exact", 250)]  # 358 digits
@@ -350,6 +369,15 @@ class TestVerify:
         assert main(["verify", "--suite", "canon"]) == 2
         out = capsys.readouterr().out
         assert "FAIL known-bad check: deliberately broken" in out
+
+    def test_raising_check_is_a_fail_line(self, capsys, monkeypatch):
+        def crashes(rng):
+            raise IndexError("index 9 is out of bounds")
+        monkeypatch.setitem(verify.SUITES, "canon",
+                            [("crashing check", crashes), ("fine check", lambda rng: None)])
+        assert main(["verify", "--suite", "canon"]) == 2
+        assert capsys.readouterr().out == ("FAIL crashing check: IndexError: index 9 is "
+                                           "out of bounds\nPASS fine check\n")
 
     def test_unknown_suite_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,11 @@
 """Containers, normalization, synthetic data, and file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from canoncover import cloudio
 from canoncover.cloudio import (
     format_number,
     read_cloud,
@@ -304,6 +307,91 @@ class TestCloudCsv:
         path.write_text(f"1,2\n3,{cell}\n")
         with pytest.raises(ValueError, match="non-finite value"):
             read_cloud(path)
+
+    @pytest.mark.parametrize("text", ["", "x,y\n", "x,y\n\n\n", "\n\n", "x,y\r\n  \r\n"])
+    def test_no_data_rows_without_warning(self, tmp_path, text):
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                read_cloud(path)
+        assert str(exc.value) == f"{path}: no data rows"
+
+    # Quirks the bulk parser rejects or that change the outcome; the line
+    # parser decides each of them. "+1" and padded cells are plain rows.
+    _QUIRKS = (None, None, None, "blank", "spaces", "underscore", "trailing-comma",
+               "comment", "quoted", "separator", "nan", "inf", "ragged")
+
+    @staticmethod
+    def _random_file(rng):
+        d = int(rng.integers(1, 6))
+        n = 1 if rng.random() < 0.15 else int(rng.integers(1, 40))
+        spellings = (repr, "{:.12g}".format, "{:+.3f}".format, " {:.5g}\t".format,
+                     "{:.2e}".format, lambda v: "+1")
+        rows = []
+        for _ in range(n):
+            values = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
+            rows.append([spellings[int(rng.integers(len(spellings)))](float(v))
+                         for v in values])
+        quirk = TestCloudCsv._QUIRKS[int(rng.integers(len(TestCloudCsv._QUIRKS)))]
+        i, j = int(rng.integers(n)), int(rng.integers(d))
+        lines = [",".join(r) for r in rows]
+        if quirk in ("underscore", "quoted", "separator", "nan", "inf"):
+            rows[i][j] = {"underscore": "1_0", "quoted": '"1"', "separator": "1\x1f",
+                          "nan": "nan", "inf": "-inf"}[quirk]
+            lines[i] = ",".join(rows[i])
+        elif quirk == "trailing-comma":
+            lines[i] += ","
+        elif quirk == "ragged":
+            lines[i] = ",".join(rows[i] + ["1"])
+        elif quirk is not None:
+            lines.insert(i, {"blank": "", "spaces": " \t ", "comment": "# comment"}[quirk])
+        header = (None, ",".join("xyzwv"[:d]), "# comment", '"x"')[int(rng.integers(4))]
+        if header is not None:
+            lines.insert(0, header)
+        newline = "\r\n" if rng.random() < 0.3 else "\n"
+        text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
+        return text, quirk in (None, "nan", "inf")
+
+    def test_bulk_read_matches_line_parser(self, tmp_path, monkeypatch):
+        line_parser = cloudio._parse_lines
+        fallbacks = []
+
+        def spy(path, lines):
+            fallbacks.append(path)
+            return line_parser(path, lines)
+
+        def outcome(read, path):
+            try:
+                return read(path)
+            except ValueError as exc:
+                return str(exc)
+
+        def reference(path):
+            with open(path, encoding="utf-8") as fh:
+                return line_parser(path, fh)
+
+        monkeypatch.setattr(cloudio, "_parse_lines", spy)
+        rng = np.random.default_rng(2024)
+        bulk_reads = 0
+        for k in range(300):
+            text, bulk = self._random_file(rng)
+            path = tmp_path / f"c{k}.csv"
+            path.write_bytes(text.encode())
+            fallbacks.clear()
+            got, want = outcome(read_cloud, path), outcome(reference, path)
+            if isinstance(want, str):
+                assert got == want, text
+            else:
+                assert np.array_equal(got, want), text
+                assert got.dtype == np.float64
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.flags.c_contiguous == want.flags.c_contiguous
+            if bulk:
+                assert not fallbacks, text
+                bulk_reads += 1
+        assert bulk_reads > 100
 
     def test_format_number(self):
         assert format_number(0.5) == "0.5"

@@ -57,6 +57,24 @@ class TestBaseMetricExamples:
             <= TOL
         )
 
+    def test_values_do_not_depend_on_layout(self):
+        # numpy sums in memory order; the pinned values are those of the
+        # plain expressions on Fortran-ordered clouds, which is how
+        # read_cloud returns them.
+        rng = np.random.default_rng(607)
+        for i in range(200):
+            d, n = int(rng.integers(1, 13)), int(rng.integers(1, 300))
+            X, Y = rng.normal(size=(d, n)), rng.normal(size=(d, n))
+            if i % 3 == 0:
+                X, Y = X.round(1), Y.round(1)
+            FX, FY = np.asfortranarray(X), np.asfortranarray(Y)
+            squares = (FX - FY) ** 2
+            frobenius = np.sqrt(np.sum(squares))
+            mean_euclidean = np.mean(np.sqrt(np.sum(squares, axis=0)))
+            for A, B in ((X, Y), (FX, FY), (X, FY), (FX, Y)):
+                assert dist_frobenius(A, B) == frobenius
+                assert dist_mean_euclidean(A, B) == mean_euclidean
+
     def test_shape_mismatch(self):
         for f in (dist_inf, dist_frobenius, dist_mean_euclidean,
                   perm_quotient_sum, perm_quotient_bottleneck,
