@@ -250,6 +250,45 @@ class TestCanonizeDataset:
         assert str(stacked.value) == str(per_item.value)
 
 
+# Quirks the bulk parser rejects or that change the outcome; the line
+# parser decides each of them. "+1" and padded cells are plain rows.
+_CSV_QUIRKS = (None, None, None, "blank", "spaces", "underscore", "trailing-comma",
+               "comment", "quoted", "separator", "nan", "inf", "ragged")
+
+
+def _random_cloud_file(rng):
+    """Text of a random cloud CSV with at most one quirk, and whether the
+    bulk parser should read it without the line parser."""
+    d = int(rng.integers(1, 6))
+    n = 1 if rng.random() < 0.15 else int(rng.integers(1, 40))
+    spellings = (repr, "{:.12g}".format, "{:+.3f}".format, " {:.5g}\t".format,
+                 "{:.2e}".format, lambda v: "+1")
+    rows = []
+    for _ in range(n):
+        values = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
+        rows.append([spellings[int(rng.integers(len(spellings)))](float(v))
+                     for v in values])
+    quirk = _CSV_QUIRKS[int(rng.integers(len(_CSV_QUIRKS)))]
+    i, j = int(rng.integers(n)), int(rng.integers(d))
+    lines = [",".join(r) for r in rows]
+    if quirk in ("underscore", "quoted", "separator", "nan", "inf"):
+        rows[i][j] = {"underscore": "1_0", "quoted": '"1"', "separator": "1\x1f",
+                      "nan": "nan", "inf": "-inf"}[quirk]
+        lines[i] = ",".join(rows[i])
+    elif quirk == "trailing-comma":
+        lines[i] += ","
+    elif quirk == "ragged":
+        lines[i] = ",".join(rows[i] + ["1"])
+    elif quirk is not None:
+        lines.insert(i, {"blank": "", "spaces": " \t ", "comment": "# comment"}[quirk])
+    header = (None, ",".join("xyzwv"[:d]), "# comment", '"x"')[int(rng.integers(4))]
+    if header is not None:
+        lines.insert(0, header)
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
+    return text, quirk in (None, "nan", "inf")
+
+
 class TestCloudCsv:
     def test_round_trip(self, tmp_path, rng):
         X = rng.random((3, 9))
@@ -318,42 +357,6 @@ class TestCloudCsv:
                 read_cloud(path)
         assert str(exc.value) == f"{path}: no data rows"
 
-    # Quirks the bulk parser rejects or that change the outcome; the line
-    # parser decides each of them. "+1" and padded cells are plain rows.
-    _QUIRKS = (None, None, None, "blank", "spaces", "underscore", "trailing-comma",
-               "comment", "quoted", "separator", "nan", "inf", "ragged")
-
-    @staticmethod
-    def _random_file(rng):
-        d = int(rng.integers(1, 6))
-        n = 1 if rng.random() < 0.15 else int(rng.integers(1, 40))
-        spellings = (repr, "{:.12g}".format, "{:+.3f}".format, " {:.5g}\t".format,
-                     "{:.2e}".format, lambda v: "+1")
-        rows = []
-        for _ in range(n):
-            values = rng.normal(size=d) * 10.0 ** rng.integers(-3, 4, size=d)
-            rows.append([spellings[int(rng.integers(len(spellings)))](float(v))
-                         for v in values])
-        quirk = TestCloudCsv._QUIRKS[int(rng.integers(len(TestCloudCsv._QUIRKS)))]
-        i, j = int(rng.integers(n)), int(rng.integers(d))
-        lines = [",".join(r) for r in rows]
-        if quirk in ("underscore", "quoted", "separator", "nan", "inf"):
-            rows[i][j] = {"underscore": "1_0", "quoted": '"1"', "separator": "1\x1f",
-                          "nan": "nan", "inf": "-inf"}[quirk]
-            lines[i] = ",".join(rows[i])
-        elif quirk == "trailing-comma":
-            lines[i] += ","
-        elif quirk == "ragged":
-            lines[i] = ",".join(rows[i] + ["1"])
-        elif quirk is not None:
-            lines.insert(i, {"blank": "", "spaces": " \t ", "comment": "# comment"}[quirk])
-        header = (None, ",".join("xyzwv"[:d]), "# comment", '"x"')[int(rng.integers(4))]
-        if header is not None:
-            lines.insert(0, header)
-        newline = "\r\n" if rng.random() < 0.3 else "\n"
-        text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
-        return text, quirk in (None, "nan", "inf")
-
     def test_bulk_read_matches_line_parser(self, tmp_path, monkeypatch):
         line_parser = cloudio._parse_lines
         fallbacks = []
@@ -376,7 +379,7 @@ class TestCloudCsv:
         rng = np.random.default_rng(2024)
         bulk_reads = 0
         for k in range(300):
-            text, bulk = self._random_file(rng)
+            text, bulk = _random_cloud_file(rng)
             path = tmp_path / f"c{k}.csv"
             path.write_bytes(text.encode())
             fallbacks.clear()
