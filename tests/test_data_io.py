@@ -385,7 +385,7 @@ class TestCloudCsv:
             fallbacks.clear()
             got, want = outcome(read_cloud, path), outcome(reference, path)
             if isinstance(want, str):
-                assert got == want, text
+                assert isinstance(got, str) and got == want, text
             else:
                 assert np.array_equal(got, want), text
                 assert got.dtype == np.float64
