@@ -9,6 +9,7 @@ floating-point comparisons; a tolerance here would break idempotence.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ __all__ = [
     "pca_align",
     "canon_skewness_sign",
     "sign_orbit",
+    "iter_sign_orbit",
     "jacobi_eigh",
 ]
 
@@ -286,12 +288,15 @@ def sign_orbit(X) -> list[np.ndarray]:
 
     Bit i of the counter controls row i; element 0 is X itself.
     """
+    return list(iter_sign_orbit(X))
+
+
+def iter_sign_orbit(X) -> Iterator[np.ndarray]:
+    """The copies of `sign_orbit`, made one at a time, so a scan over them
+    holds one copy in memory rather than 2^d. Checks X before the first."""
     X = _as_cloud(X)
     d = X.shape[0]
     if d > 20:
         raise ValueError(f"sign orbit supports d <= 20, got d = {d}")
-    orbit = []
-    for mask in range(1 << d):
-        signs = np.array([-1 if (mask >> i) & 1 else 1 for i in range(d)])
-        orbit.append(signs[:, None] * X)
-    return orbit
+    return (np.array([-1 if (mask >> i) & 1 else 1 for i in range(d)])[:, None] * X
+            for mask in range(1 << d))

@@ -24,7 +24,8 @@ from .data import CANON_CHOICES, apply_canon, canonize_dataset, synthetic_datase
 from .metrics import METRIC_CHOICES, parse_metric
 from .verify import SUITE_NAMES, run_suite
 
-THREADS_ENV = "CANONCOVER_THREADS"
+# JSON carries a bound's exact integer only below this: at most 4096 digits.
+_EXACT_JSON_LIMIT = 10**4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,13 +44,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
-
-
-def _default_threads() -> int:
-    try:
-        return _parse_threads(os.environ.get(THREADS_ENV, "1"))
-    except ValueError as exc:
-        raise ValueError(f"bad {THREADS_ENV} value: {exc}") from exc
 
 
 def _parse_threads(raw: str) -> int:
@@ -87,8 +81,7 @@ def _cmd_coverage(args) -> int:
     if args.canon:
         train = canonize_dataset(train, args.canon)
         test = canonize_dataset(test, args.canon)
-    report = run_coverage(train, test, args.metric,
-                          same_label_only=args.same_label, threads=args.threads)
+    report = run_coverage(train, test, args.metric, same_label_only=args.same_label)
     payload = {
         "canon": args.canon,
         "same_label_only": bool(args.same_label),
@@ -137,7 +130,7 @@ def _cmd_bounds(args) -> int:
                 "log10": e.value.log10,
                 "value": bounds_mod.sci_string(e.value),
             }
-            if e.value.exact is not None and bounds_mod.digit_count(e.value.exact) <= 4096:
+            if e.value.exact is not None and e.value.exact < _EXACT_JSON_LIMIT:
                 item["exact"] = e.value.exact
             items.append(item)
         _emit(json.dumps(items, sort_keys=True, indent=2), args.output)
@@ -208,8 +201,8 @@ def build_parser() -> _Parser:
                         f"(one of: {', '.join(CANON_CHOICES)})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=_parse_threads, default=None,
-                   help=f"worker count or 'auto' (default ${THREADS_ENV} or 1); "
-                        "validated but has no effect: the scan is serial")
+                   help="worker count or 'auto'; accepted for compatibility "
+                        "and ignored: the scan is serial")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_coverage)
 
@@ -247,8 +240,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", None) is None and args.command == "coverage":
-            args.threads = _default_threads()
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -72,16 +72,13 @@ class NetResult:
 _PRUNE_SLACK = 1 + 1e-9
 
 
-def coverage(train: Dataset, test: Dataset, metric, same_label_only: bool = False,
-             threads: int | None = None) -> CoverageReport:
+def coverage(train: Dataset, test: Dataset, metric,
+             same_label_only: bool = False) -> CoverageReport:
     """Nearest-train distance for every test item.
 
     With same_label_only, each test item is compared only against train
     items sharing its label; a label with no train representative raises
-    LabelCoverageError. `threads` is accepted for compatibility and has
-    no effect: the scan runs in the calling thread, because each exact
-    solve holds the interpreter lock and measured thread pools ran no
-    faster.
+    LabelCoverageError.
 
     Each test item scans its eligible train items in ascending order of
     the metric's lower bound and stops once the next bound exceeds the

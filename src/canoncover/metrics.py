@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .canon import canon_centralize
+from .canon import canon_centralize, iter_sign_orbit
 
 __all__ = [
     "InternalConsistencyError",
@@ -212,17 +212,12 @@ def sign_quotient(X, Y, base: str = "inf") -> float:
         return _finalize(np.max(per_row))
     if base == "frobenius":
         per_row = np.minimum(
-            np.sum((X - Y) ** 2, axis=1), np.sum((X + Y) ** 2, axis=1)
+            np.sum(_point_major_squares(X, Y), axis=0),
+            np.sum(_point_major_squares(X, -Y), axis=0),
         )
         return _finalize(np.sqrt(np.sum(per_row)))
     if base == "mean-euclidean":
-        best = np.inf
-        signs = np.ones(d)
-        for mask in range(1 << d):
-            for i in range(d):
-                signs[i] = -1.0 if (mask >> i) & 1 else 1.0
-            best = min(best, dist_mean_euclidean(signs[:, None] * X, Y))
-        return _finalize(best)
+        return _finalize(min(dist_mean_euclidean(S, Y) for S in iter_sign_orbit(X)))
     raise ValueError(f"unknown sign-quotient base {base!r}; pick from {_SIGN_BASES}")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from canoncover import verify
-from canoncover.cli import THREADS_ENV, main
+from canoncover.cli import main
 from canoncover.cloudio import format_number, read_cloud, write_cloud, write_manifest
 from canoncover.metrics import parse_metric
 
@@ -171,16 +171,24 @@ class TestCoverage:
         assert main(args + ["--output", outs[1], "--threads", "4"]) == 0
         assert _read_bytes(outs[0]) == _read_bytes(outs[1])
 
-    def test_threads_env_var(self, tmp_path, capsys, monkeypatch):
+    def test_bad_threads_flag_exits_1(self, tmp_path, capsys):
         train, test = _make_manifests(tmp_path)
-        out = str(tmp_path / "env.json")
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert main(["coverage", "--train", train, "--test", test,
-                     "--metric", "inf", "--output", out]) == 0
-        monkeypatch.setenv(THREADS_ENV, "bogus")
-        assert main(["coverage", "--train", train, "--test", test,
-                     "--metric", "inf"]) == 1
-        assert "error:" in capsys.readouterr().err
+        args = ["coverage", "--train", train, "--test", test, "--metric", "inf"]
+        assert main(args + ["--threads", "auto"]) == 0
+        for bad in ("0", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(args + ["--threads", bad])
+            assert exc.value.code == 1
+
+    def test_threads_env_var_is_ignored(self, tmp_path, capsys, monkeypatch):
+        train, test = _make_manifests(tmp_path)
+        args = ["coverage", "--train", train, "--test", test, "--metric", "inf"]
+        monkeypatch.delenv("CANONCOVER_THREADS", raising=False)
+        assert main(args) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("CANONCOVER_THREADS", "bogus")
+        assert main(args) == 0
+        assert capsys.readouterr() == unset
 
     def test_canonized_dominates_quotient(self, tmp_path, capsys):
         train, test = _make_manifests(tmp_path, seed=11)
@@ -277,6 +285,22 @@ class TestBounds:
         assert "exact" not in items[("hypercube-exact", 4000)]  # 5726 digits
         big = items[("hypercube-exact", 4000)]
         assert abs(big["log10"] - 4000 * 3 * np.log10(3)) < 1e-6
+
+    def test_json_exact_cutoff_is_4096_digits(self, capsys):
+        assert main(["bounds", "--n", "2861,2862", "--format", "json"]) == 0
+        items = {(i["formula"], i["n"]): i
+                 for i in json.loads(capsys.readouterr().out)}
+        assert len(str(items[("hypercube-exact", 2861)]["exact"])) == 4096
+        assert "exact" not in items[("hypercube-exact", 2862)]  # 4097 digits
+
+    def test_json_exact_cutoff_does_not_trust_log10(self, capsys):
+        # log-gamma loses every digit of these log10 fields (they print as
+        # 0.0), but the exact integers have 17820 and 21994 digits.
+        assert main(["bounds", "--n", "1000", "--d", "12", "--eps", "1/100",
+                     "--format", "json"]) == 0
+        items = json.loads(capsys.readouterr().out)
+        assert [i["value"] for i in items[:2]] == ["1.1e+17820", "2.1e+21994"]
+        assert not any("exact" in i for i in items)
 
     def test_limit_order(self, capsys):
         assert main(["bounds", "--n", "250", "--m", "limit",

@@ -81,12 +81,6 @@ class TestCoverage:
         with pytest.raises(ValueError):
             coverage(Dataset(items=[]), _dataset([(0.0,)]), "inf")
 
-    def test_thread_count_does_not_change_result(self):
-        train, test = synthetic_split(20, 10, clusters=2, d=2, n_points=6, seed=9)
-        serial = coverage(train, test, "perm-sum")
-        threaded = coverage(train, test, "perm-sum", threads=4)
-        np.testing.assert_array_equal(serial.q, threaded.q)
-
     def test_deterministic(self):
         train, test = synthetic_split(15, 5, clusters=2, d=2, n_points=4, seed=2)
         a = coverage(train, test, "perm-bottleneck")
@@ -136,16 +130,14 @@ def _counting(name):
 
 
 class TestBoundPrunedScan:
-    @pytest.mark.parametrize("threads", [1, 4])
     @pytest.mark.parametrize("same_label", [False, True])
     @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
-    def test_equals_full_scan(self, name, same_label, threads):
+    def test_equals_full_scan(self, name, same_label):
         # Wide spreads make near-ties between clusters common; at d = 1
         # both bounds equal the exact value, so every candidate ties its bound.
         for seed, d, spread in itertools.product((1, 2, 3), (1, 3), (0.08, 0.3)):
             train, test = _split_with_ties(seed, d, spread)
-            report = coverage(train, test, name, same_label_only=same_label,
-                              threads=threads)
+            report = coverage(train, test, name, same_label_only=same_label)
             expected = _full_scan(train, test, name, same_label)
             assert np.array_equal(report.q, expected), (seed, d, spread)
             assert report.q[4] == 0.0

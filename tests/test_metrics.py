@@ -283,6 +283,25 @@ class TestSignQuotient:
                 exhaustive = min(dist(Z, Y) for Z in sign_orbit(X))
                 assert abs(sign_quotient(X, Y, base=base) - exhaustive) <= TOL
 
+    def test_values_do_not_depend_on_layout(self):
+        # Pinned to the per-row sums of Fortran-ordered clouds, as for
+        # dist_frobenius; mean-euclidean is checked at small d (2^d copies).
+        rng = np.random.default_rng(811)
+        for i in range(200):
+            d, n = int(rng.integers(1, 13)), int(rng.integers(1, 300))
+            X, Y = rng.normal(size=(d, n)), rng.normal(size=(d, n))
+            if i % 3 == 0:
+                X, Y = X.round(1), Y.round(1)
+            FX, FY = np.asfortranarray(X), np.asfortranarray(Y)
+            frobenius = np.sqrt(np.sum(np.minimum(np.sum((FX - FY) ** 2, axis=1),
+                                                  np.sum((FX + FY) ** 2, axis=1))))
+            mixes = ((X, Y), (FX, FY), (X, FY), (FX, Y))
+            for A, B in mixes:
+                assert sign_quotient(A, B, base="frobenius") == frobenius
+            if d <= 6:
+                values = {sign_quotient(A, B, base="mean-euclidean") for A, B in mixes}
+                assert values == {min(dist_mean_euclidean(Z, Y) for Z in sign_orbit(X))}
+
     def test_rejects_large_d_and_bad_base(self):
         with pytest.raises(ValueError):
             sign_quotient(np.zeros((21, 2)), np.zeros((21, 2)))
