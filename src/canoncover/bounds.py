@@ -1,10 +1,10 @@
 """Exact covering-number bound calculators and the generalization-bound RHS.
 
 Every bound is computed as an exact arbitrary-precision integer (values
-reach beyond 10^2862) together with a float log10 obtained from
-log-gamma/logarithms, never from the integer itself, so the two routes
-cross-check each other. The integer is consulted only to settle a float
-that lands within rounding of a whole number on the correct side of it.
+reach beyond 10^2862), and its float log10 is read from that integer:
+`math.log10` takes an int of any size in time linear in its digits.
+A float that rounds onto a whole number is then settled on the side of
+it that the integer is on, so its floor counts the digits.
 
 Magnitudes are printed from the exact integer with integer arithmetic
 alone: the digit count comes from the bit length and one power-of-ten
@@ -44,8 +44,6 @@ __all__ = [
     "sci_string",
     "digit_count",
 ]
-
-_LN10 = math.log(10.0)
 
 # Grid order used for the Hilbert column of the reference table
 # (tests freeze the resulting magnitudes); pass m=None for the
@@ -97,11 +95,12 @@ def _half_integer_k(eps: Fraction, context: str) -> int:
     return inv.numerator // 2
 
 
-def _logvalue(log10: float, exact: int, formula: str) -> LogValue:
-    """Pair a float log10 with its exact integer. A float that lands within
+def _logvalue(exact: int, formula: str) -> LogValue:
+    """Pair an exact integer with its float log10. A float that lands within
     rounding of an integer k is settled on the side of k that `exact` is
-    on (log-gamma gives 1.9999999999999996 for C(100, 99) = 100), so its
-    floor always counts the digits."""
+    on (math.log10(10**16 - 1) rounds to 16.0), so its floor always
+    counts the digits."""
+    log10 = math.log10(exact)
     k = round(log10)
     if abs(log10 - k) <= 1e-9 and k >= 0:
         if exact >= 10**k:
@@ -111,18 +110,6 @@ def _logvalue(log10: float, exact: int, formula: str) -> LogValue:
     return LogValue(log10=log10, exact=exact, formula=formula)
 
 
-def _binom_logvalue(top: int, bottom: int, formula: str) -> LogValue:
-    log10 = (
-        math.lgamma(top + 1) - math.lgamma(bottom + 1) - math.lgamma(top - bottom + 1)
-    ) / _LN10
-    return _logvalue(log10, math.comb(top, bottom), formula)
-
-
-def _power_logvalue(base: int, exponent: int, formula: str) -> LogValue:
-    log10 = exponent * math.log10(base) if base > 1 else 0.0
-    return _logvalue(log10, base**exponent, formula)
-
-
 def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
     """Covering bound for the permutation quotient: C(n + k^d - 1, n),
     k = ceil(1/(2 eps))."""
@@ -130,7 +117,7 @@ def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     k = math.ceil(1 / (2 * eps))
-    return _binom_logvalue(n + k**d - 1, n, "quotient-upper")
+    return _logvalue(math.comb(n + k**d - 1, n), "quotient-upper")
 
 
 def bound_lexsort_lower(n: int, d: int, eps) -> LogValue:
@@ -140,7 +127,7 @@ def bound_lexsort_lower(n: int, d: int, eps) -> LogValue:
         raise ValueError("the lexsort lower bound needs n >= 2 and d >= 2")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     k = _half_integer_k(eps, "the lexsort lower bound")
-    return _power_logvalue(k, (d - 1) * n + 1, "lexsort-lower")
+    return _logvalue(k ** ((d - 1) * n + 1), "lexsort-lower")
 
 
 def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
@@ -165,7 +152,7 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
             )
         delta = gap**d / 4
     K = math.ceil(1 / (2 * delta))
-    return _binom_logvalue(n + K - 1, n, "hilbert-upper")
+    return _logvalue(math.comb(n + K - 1, n), "hilbert-upper")
 
 
 def bound_hypercube_exact(n: int, d: int, eps) -> LogValue:
@@ -174,7 +161,7 @@ def bound_hypercube_exact(n: int, d: int, eps) -> LogValue:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     k = _half_integer_k(eps, "the hypercube covering number")
-    return _power_logvalue(k, n * d, "hypercube-exact")
+    return _logvalue(k ** (n * d), "hypercube-exact")
 
 
 def bound_group_cardinality(quotient: LogValue, group_size: int) -> LogValue:

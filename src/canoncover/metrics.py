@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from .canon import canon_centralize, iter_sign_orbit
+from .canon import _as_cloud, canon_centralize, iter_sign_orbit
 
 __all__ = [
     "InternalConsistencyError",
@@ -64,8 +64,9 @@ def _finalize(value: float) -> float:
 
 
 def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    """Both inputs as finite, non-empty d x n float arrays of one shape."""
+    X = _as_cloud(X)
+    Y = _as_cloud(Y)
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
     return X, Y
@@ -96,8 +97,6 @@ def dist_frobenius(X, Y) -> float:
 def dist_mean_euclidean(X, Y) -> float:
     """Mean over columns of the Euclidean distance between paired columns."""
     X, Y = _pair(X, Y)
-    if X.ndim != 2:
-        raise ValueError("mean-euclidean distance needs d x n matrices")
     return _finalize(np.mean(np.sqrt(np.sum(_point_major_squares(X, Y), axis=1))))
 
 
@@ -111,6 +110,8 @@ def wasserstein_1d(x, y, p=2) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cloud contains non-finite entries")
     diff = np.abs(np.sort(x) - np.sort(y))
     if p == 1:
         return _finalize(np.sum(diff))
@@ -128,8 +129,6 @@ def perm_quotient_sum(X, Y) -> float:
     solved exactly as an optimal assignment on the pairwise-cost matrix.
     """
     X, Y = _pair(X, Y)
-    if X.ndim != 2:
-        raise ValueError("perm quotient needs d x n matrices")
     cost = cdist(X.T, Y.T, "euclidean")
     rows, cols = linear_sum_assignment(cost)
     return _finalize(cost[rows, cols].sum() / X.shape[1])
@@ -164,8 +163,6 @@ def perm_quotient_bottleneck(X, Y) -> float:
     min over column permutations pi of max_i ||X_pi(i) - Y_i||_inf.
     """
     X, Y = _pair(X, Y)
-    if X.ndim != 2:
-        raise ValueError("perm quotient needs d x n matrices")
     return _finalize(_bottleneck_assignment(cdist(X.T, Y.T, "chebyshev")))
 
 
@@ -200,8 +197,6 @@ def sign_quotient(X, Y, base: str = "inf") -> float:
     independently; other bases fall back to enumerating all 2^d patterns.
     """
     X, Y = _pair(X, Y)
-    if X.ndim != 2:
-        raise ValueError("sign quotient needs d x n matrices")
     d = X.shape[0]
     if d > 20:
         raise ValueError(f"sign quotient supports d <= 20, got d = {d}")
@@ -225,8 +220,6 @@ def translation_quotient(X, Y) -> float:
     """Quotient of the Frobenius metric over translations: the distance
     between the centered clouds, which is the exact minimum over shifts."""
     X, Y = _pair(X, Y)
-    if X.ndim != 2:
-        raise ValueError("translation quotient needs d x n matrices")
     return _finalize(
         dist_frobenius(canon_centralize(X).cloud, canon_centralize(Y).cloud)
     )

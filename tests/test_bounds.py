@@ -384,16 +384,21 @@ class TestFormattingAgainstDecimal:
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 200), d=st.integers(1, 4), k=st.integers(1, 5))
+@given(n=st.integers(1, 200), d=st.integers(1, 30), k=st.integers(1, 50))
 def test_closed_forms_match_direct_arithmetic(n, d, k):
     eps = Fraction(1, 2 * k)
     q = bound_quotient_upper(n, d, eps)
     assert q.exact == multiset_count(n, k ** d)
+    hl = bound_hilbert_upper(n, d, eps)  # limit order: K = 2 (2k)^d
+    assert hl.exact == multiset_count(n, 2 * (2 * k) ** d)
     hc = bound_hypercube_exact(n, d, eps)
     assert hc.exact == k ** (n * d)
+    checked = [q, hl, hc]
     if n >= 2 and d >= 2:
         lx = bound_lexsort_lower(n, d, eps)
         assert lx.exact == k ** ((d - 1) * n + 1)
-    for v in (q, hc):
-        assert len(str(v.exact)) == math.floor(v.log10) + 1
+        checked.append(lx)
+    for v in checked:
+        # Decimal counts digits past str()'s 4300-digit cap.
+        assert Decimal(v.exact).adjusted() + 1 == math.floor(v.log10) + 1
         assert abs(v.log10 - _log10_int(v.exact)) <= 1e-9

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,13 +295,20 @@ class TestBounds:
         assert "exact" not in items[("hypercube-exact", 2862)]  # 4097 digits
 
     def test_json_exact_cutoff_does_not_trust_log10(self, capsys):
-        # log-gamma loses every digit of these log10 fields (they print as
-        # 0.0), but the exact integers have 17820 and 21994 digits.
-        assert main(["bounds", "--n", "1000", "--d", "12", "--eps", "1/100",
-                     "--format", "json"]) == 0
-        items = json.loads(capsys.readouterr().out)
+        # These values have 11,000 to 22,000 digits: past the 4096-digit
+        # cutoff, so JSON carries no exact integer, and each log10 field
+        # must agree with its printed value.
+        for d in ("8", "12"):
+            assert main(["bounds", "--n", "1000", "--d", d, "--eps", "1/100",
+                         "--format", "json"]) == 0
+            items = json.loads(capsys.readouterr().out)
+            assert len(items) == 4 and not any("exact" in i for i in items)
+            for item in items:
+                mantissa, exponent = item["value"].split("e")
+                assert math.floor(item["log10"]) == int(exponent), item
+                assert abs(math.log10(float(mantissa)) + int(exponent)
+                           - item["log10"]) <= 0.05, item
         assert [i["value"] for i in items[:2]] == ["1.1e+17820", "2.1e+21994"]
-        assert not any("exact" in i for i in items)
 
     def test_limit_order(self, capsys):
         assert main(["bounds", "--n", "250", "--m", "limit",
@@ -374,7 +382,7 @@ class TestGen:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["hilbert", "canon", "metrics", "bounds"])
+    @pytest.mark.parametrize("suite", list(verify.SUITES))
     def test_suites_pass(self, suite, capsys):
         assert main(["verify", "--suite", suite]) == 0
         out = capsys.readouterr().out

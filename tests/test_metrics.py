@@ -15,6 +15,7 @@ from canoncover.canon import (
     canon_sort,
     sign_orbit,
 )
+from canoncover.coverage import exact_cover_number, greedy_net
 from canoncover.metrics import (
     METRIC_CHOICES,
     InternalConsistencyError,
@@ -554,3 +555,18 @@ class TestGuardsAndParsing:
     def test_wasserstein_metric_rejects_wide_clouds(self):
         with pytest.raises(ValueError):
             parse_metric("wasserstein:p2")(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_non_finite_input_raises(self):
+        # A nan compares false against every epsilon, so a silent nan
+        # distance would make greedy_net call Y covered by a nan center.
+        Y = np.array([[0.1, 0.5, 0.9]])
+        for bad in (np.nan, np.inf):
+            X = np.array([[0.2, bad, 0.4]])
+            for name in METRIC_CHOICES:
+                metric = parse_metric(name)
+                for args in ((X, Y), (Y, X)):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        metric(*args)
+            for cover in (greedy_net, exact_cover_number):
+                with pytest.raises(ValueError, match="non-finite"):
+                    cover([X, Y, X], "inf", 0.1)
