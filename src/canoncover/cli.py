@@ -55,6 +55,28 @@ def _parse_threads(raw: str) -> int:
     return value
 
 
+def _sidecar_json(record: dict) -> str:
+    """json.dumps(record, sort_keys=True, indent=2) of a non-empty record,
+    byte for byte.
+
+    `indent` sends the standard library to its pure-Python encoder, which
+    is slow on a perm of many thousand entries. So each top-level value
+    that is a flat, non-empty list of numbers is C-encoded compactly and
+    broken into indented lines with one replace; every other value takes the
+    indented encoder.
+    """
+    fields = []
+    for key in sorted(record):
+        text = json.dumps(record[key], separators=(",", ":"))
+        body = text[1:-1]
+        if text[0] == "[" and body and not any(c in body for c in '[{"'):
+            text = "[\n    " + body.replace(",", ",\n    ") + "\n  ]"
+        else:
+            text = json.dumps(record[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
+
+
 def _cmd_canonize(args) -> int:
     coords = read_cloud(args.input)
     cloud, record = apply_canon(coords, args.method)
@@ -62,7 +84,7 @@ def _cmd_canonize(args) -> int:
     record = {"input": args.input, "output": args.output, **record}
     sidecar = args.output + ".group.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+        fh.write(_sidecar_json(record) + "\n")
     print(f"wrote {args.output} and {sidecar}")
     return 0
 

@@ -66,12 +66,6 @@ class NetResult:
         return len(self.center_indices)
 
 
-# A candidate is skipped only when its lower bound exceeds the best exact
-# value by this relative margin, so values that tie within float rounding
-# are still solved.
-_PRUNE_SLACK = 1 + 1e-9
-
-
 def coverage(train: Dataset, test: Dataset, metric,
              same_label_only: bool = False) -> CoverageReport:
     """Nearest-train distance for every test item.
@@ -80,13 +74,13 @@ def coverage(train: Dataset, test: Dataset, metric,
     items sharing its label; a label with no train representative raises
     LabelCoverageError.
 
-    Each test item scans its eligible train items in ascending order of
-    the metric's lower bound and stops once the next bound exceeds the
-    best exact value found, so the result equals the full scan's while
-    skipping most exact solves. perm-sum (sorted-marginal and centroid
-    bounds) and perm-bottleneck (sorted-marginal bound) prune; other
-    metrics, and datasets whose clouds differ in shape, have no bound
-    (-inf for every item) and scan every eligible item in train order.
+    When every cloud has one shape and the metric has a `nearest` scan
+    (perm-sum and perm-bottleneck), each test item is one `nearest` call
+    over the stack of its eligible train clouds. That scan prunes in two
+    tiers, by the sorted-marginal/centroid bound and then by each
+    survivor's reduced-cost bound, and still returns the full scan's
+    value bit for bit. Other metrics, and datasets whose clouds differ in
+    shape, take a plain minimum over every eligible item in train order.
     """
     metric = parse_metric(metric)
     if len(train.items) == 0:
@@ -96,8 +90,7 @@ def coverage(train: Dataset, test: Dataset, metric,
     train_coords = [item.coords for item in train.items]
     train_labels = [item.label for item in train.items]
     shapes = {item.coords.shape for item in train.items + test.items}
-    lower_bound = metric.lower_bound if len(shapes) == 1 else None
-    stack = np.stack(train_coords) if lower_bound else None
+    stack = np.stack(train_coords) if metric.nearest and len(shapes) == 1 else None
 
     def nearest(t: int) -> float:
         X = test.items[t].coords
@@ -108,19 +101,9 @@ def coverage(train: Dataset, test: Dataset, metric,
                 raise LabelCoverageError(f"no train item with label {label!r}")
         else:
             eligible = range(len(train_coords))
-        if lower_bound:
-            lower = lower_bound(X, stack[eligible])
-        else:
-            lower = np.full(len(eligible), -np.inf)
-        order = np.argsort(lower, kind="stable")
-        best = metric(X, train_coords[eligible[order[0]]])
-        for k in order[1:]:
-            if lower[k] > best * _PRUNE_SLACK:
-                break
-            value = metric(X, train_coords[eligible[k]])
-            if value < best:
-                best = value
-        return best
+        if stack is not None:
+            return metric.nearest(X, stack[eligible])
+        return min(metric(X, train_coords[i]) for i in eligible)
 
     q = np.array([nearest(t) for t in range(len(test.items))])
     return CoverageReport(

@@ -12,15 +12,26 @@ depend on the memory layout of the inputs, and Fortran-ordered clouds
 `brute_perm_quotient` is the exhaustive oracle used to cross-check them
 on small instances; it keeps its own broadcast cost.
 
-`parse_metric` attaches a batched lower bound to the two permutation
-quotients, for pruning coverage scans. Sorting is an exact 1-d isometry,
-so the sorted per-axis marginals bound both quotients from below; for
-perm-sum so does the distance between centroids (Rubner, Tomasi &
-Guibas, IJCV 2000).
+`parse_metric` gives the two permutation quotients a nearest-candidate
+scan, `Metric.nearest`, that returns the exact minimum over a stack of
+candidates while solving few of them. It prunes in two tiers. Tier 1 is
+`Metric.lower_bound`: sorting is an exact 1-d isometry, so the sorted
+per-axis marginals bound both quotients from below, and for perm-sum so
+does the distance between centroids (Rubner, Tomasi & Guibas, IJCV
+2000). The lowest candidate is solved, and only candidates whose bound
+is within a 1e-9 relative slack of that value survive. Tier 2 builds
+the survivors' costs with one `cdist` call and bounds each cost matrix
+by its row reduction, the feasible assignment dual of Kuhn's Hungarian
+method (Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009).
+Survivors are solved in order of that bound until the next one exceeds
+the best value by the slack. The reduced-cost bound sums non-negative
+terms read from the same cost matrix the solver reads, so its rounding
+error is a few ulps of the candidate's own value, far inside the slack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -122,6 +133,12 @@ def wasserstein_1d(x, y, p=2) -> float:
     raise ValueError(f"p must be 1, 2, or inf, got {p!r}")
 
 
+def _assignment_mean(cost: np.ndarray) -> float:
+    """Mean cost of an optimal assignment on an n x n cost matrix."""
+    rows, cols = linear_sum_assignment(cost)
+    return _finalize(cost[rows, cols].sum() / cost.shape[1])
+
+
 def perm_quotient_sum(X, Y) -> float:
     """Permutation-quotient of the mean-euclidean metric.
 
@@ -129,9 +146,7 @@ def perm_quotient_sum(X, Y) -> float:
     solved exactly as an optimal assignment on the pairwise-cost matrix.
     """
     X, Y = _pair(X, Y)
-    cost = cdist(X.T, Y.T, "euclidean")
-    rows, cols = linear_sum_assignment(cost)
-    return _finalize(cost[rows, cols].sum() / X.shape[1])
+    return _assignment_mean(cdist(X.T, Y.T, "euclidean"))
 
 
 def _bottleneck_assignment(cost: np.ndarray) -> float:
@@ -157,13 +172,18 @@ def _bottleneck_assignment(cost: np.ndarray) -> float:
     return float(values[lo])
 
 
+def _assignment_max(cost: np.ndarray) -> float:
+    """Largest cost of an optimal bottleneck assignment."""
+    return _finalize(_bottleneck_assignment(cost))
+
+
 def perm_quotient_bottleneck(X, Y) -> float:
     """Permutation-quotient of the elementwise max-norm metric.
 
     min over column permutations pi of max_i ||X_pi(i) - Y_i||_inf.
     """
     X, Y = _pair(X, Y)
-    return _finalize(_bottleneck_assignment(cdist(X.T, Y.T, "chebyshev")))
+    return _assignment_max(cdist(X.T, Y.T, "chebyshev"))
 
 
 def perm_quotient_pnorm(x, y, p=2) -> float:
@@ -176,9 +196,11 @@ def perm_quotient_pnorm(x, y, p=2) -> float:
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cloud contains non-finite entries")
     cost = np.abs(x[:, None] - y[None, :])
     if p in (np.inf, "inf"):
-        return _finalize(_bottleneck_assignment(cost))
+        return _assignment_max(cost)
     if p not in (1, 2):
         raise ValueError(f"p must be 1, 2, or inf, got {p!r}")
     rows, cols = linear_sum_assignment(cost**p)
@@ -274,11 +296,15 @@ class Metric:
 
     `lower_bound(X, B)`, when set, maps one d x n cloud X and a stack B
     of C clouds (C x d x n) to C values, each at most func(X, B[c]).
+    `nearest(X, B)`, when set, returns min over c of func(X, B[c]),
+    bit for bit, without solving every candidate (see the module
+    docstring for its two pruning tiers).
     """
 
     name: str
     func: Callable[[np.ndarray, np.ndarray], float]
     lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    nearest: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def __call__(self, X, Y) -> float:
         return self.func(X, Y)
@@ -337,9 +363,82 @@ def _perm_bottleneck_lower_bound(X, B) -> np.ndarray:
     return np.abs(_sorted_marginal_gaps(X, B)).max(axis=(1, 2))
 
 
-_LOWER_BOUNDS: dict[str, Callable] = {
-    "perm-sum": _perm_sum_lower_bound,
-    "perm-bottleneck": _perm_bottleneck_lower_bound,
+def _reduced_cost_sum_bound(cost) -> np.ndarray:
+    """Row-reduction dual of each n x n matrix in an S x n x n cost
+    stack, divided by n: (S,).
+
+    With u_i the row minima and v_j the column minima of cost - u, every
+    u_i + v_j <= cost_ij, so sum(u) + sum(v) is at most the cost of any
+    assignment. All terms are non-negative and come from the same matrix
+    the solver reads."""
+    u = cost.min(axis=2)
+    v = (cost - u[:, :, None]).min(axis=1)
+    return (u.sum(axis=1) + v.sum(axis=1)) / cost.shape[2]
+
+
+def _reduced_cost_max_bound(cost) -> np.ndarray:
+    """max(largest row minimum, largest column minimum) of each n x n
+    matrix in an S x n x n cost stack: (S,). Every row and every column takes one entry of an
+    assignment, so no bottleneck assignment costs less."""
+    return np.maximum(cost.min(axis=2).max(axis=1), cost.min(axis=1).max(axis=1))
+
+
+# A candidate is skipped only when its bound exceeds the best exact value
+# by this relative margin, so values that tie within float rounding are
+# still solved.
+_PRUNE_SLACK = 1 + 1e-9
+
+# Most cost entries one block of survivors holds: 8 MB of float64. At
+# n = 1024 a block holds one candidate.
+_COST_BLOCK = 1 << 20
+
+
+def _cost_block(X, B, base) -> np.ndarray:
+    """cdist(X.T, B[s].T, base) for every cloud s of the stack B, from one
+    cdist call over B's stacked points: an S x n x n view. cdist computes
+    each pair's distance on its own, so every slice equals the per-pair
+    cost bit for bit."""
+    S, d, n = B.shape
+    cost = cdist(X.T, B.transpose(0, 2, 1).reshape(S * n, d), base)
+    return cost.reshape(n, S, n).transpose(1, 0, 2)
+
+
+def _nearest_perm(base, lower_bound, reduced_bound, solve, X, B) -> float:
+    """min over c of solve(cdist(X.T, B[c].T, base)), pruned in two tiers."""
+    X = _as_cloud(X)
+    B = _as_cloud(B, ndim=3)
+    if B.shape[1:] != X.shape:
+        raise ValueError(f"shape mismatch: {X.shape} vs {B.shape[1:]}")
+    n = X.shape[1]
+    lower = lower_bound(X, B)
+    order = np.argsort(lower, kind="stable")
+    best = solve(cdist(X.T, B[order[0]].T, base))
+    rest = order[1:]
+    per_block = max(1, _COST_BLOCK // (n * n))
+    while True:
+        rest = rest[lower[rest] <= best * _PRUNE_SLACK]
+        if not len(rest):
+            return best
+        block, rest = rest[:per_block], rest[per_block:]
+        cost = _cost_block(X, B[block], base)
+        reduced = reduced_bound(cost)
+        for k in np.argsort(reduced, kind="stable"):
+            if reduced[k] > best * _PRUNE_SLACK:
+                break
+            best = min(best, solve(cost[k]))
+
+
+def _pruned_scan(base, lower_bound, reduced_bound, solve) -> dict:
+    return {"lower_bound": lower_bound,
+            "nearest": functools.partial(_nearest_perm, base, lower_bound,
+                                         reduced_bound, solve)}
+
+
+_PRUNED_SCANS: dict[str, dict] = {
+    "perm-sum": _pruned_scan("euclidean", _perm_sum_lower_bound,
+                             _reduced_cost_sum_bound, _assignment_mean),
+    "perm-bottleneck": _pruned_scan("chebyshev", _perm_bottleneck_lower_bound,
+                                    _reduced_cost_max_bound, _assignment_max),
 }
 
 
@@ -352,4 +451,4 @@ def parse_metric(spec) -> Metric:
     name = str(spec).strip().lower()
     if name not in _REGISTRY:
         raise ValueError(f"unknown metric {spec!r}; choices: {', '.join(METRIC_CHOICES)}")
-    return Metric(name=name, func=_REGISTRY[name], lower_bound=_LOWER_BOUNDS.get(name))
+    return Metric(name=name, func=_REGISTRY[name], **_PRUNED_SCANS.get(name, {}))

@@ -257,6 +257,21 @@ def _check_quotient_sandwich(rng):
                 assert quotient <= canonized + _TOL, (name, spec, quotient, canonized)
 
 
+def _check_reduced_cost_bound(rng):
+    cases = (("mean-euclidean", "euclidean", metrics._reduced_cost_sum_bound),
+             ("inf", "chebyshev", metrics._reduced_cost_max_bound))
+    for i in range(100):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        X, Y = rng.random((d, n)), rng.random((d, n))
+        if i % 2:  # exact ties and duplicated columns
+            X, Y = X.round(1), Y.round(1)
+            X[:, -1] = X[:, 0]
+        for base, name, bound in cases:
+            lower = float(bound(metrics._cost_block(X, Y[None], name))[0])
+            quotient = metrics.brute_perm_quotient(X, Y, base)
+            assert lower <= quotient + _TOL, (base, lower, quotient)
+
+
 def _check_sign_rowwise_vs_exhaustive(rng):
     for _ in range(50):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
@@ -332,6 +347,13 @@ def _check_pruned_scan(rng):
                     for t in test.items]
             pruned = coverage_of(train, test, metric, same_label_only=same_label)
             assert np.array_equal(pruned.q, full), (name, same_label)
+    # At n = 256 a cost block holds 16 candidates; one cluster usually
+    # leaves more tier-1 survivors than that, so the scan spans two blocks.
+    train, test = synthetic_split(24, 4, clusters=1, d=2, n_points=256,
+                                  seed=int(rng.integers(0, 2**31)))
+    metric = metrics.parse_metric("perm-sum")
+    full = [min(metric(t.coords, c.coords) for c in train.items) for t in test.items]
+    assert np.array_equal(coverage_of(train, test, metric).q, full), "n = 256"
 
 
 def _check_greedy_validity(rng):
@@ -430,6 +452,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("solvers match brute force", _check_solvers_against_brute),
         ("marginal/centroid lower bound <= quotient <= canonized",
          _check_quotient_sandwich),
+        ("reduced-cost bound <= quotient", _check_reduced_cost_bound),
         ("sign rowwise equals exhaustive", _check_sign_rowwise_vs_exhaustive),
     ],
     "isometry": [

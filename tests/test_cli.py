@@ -13,6 +13,7 @@ import pytest
 from canoncover import verify
 from canoncover.cli import main
 from canoncover.cloudio import format_number, read_cloud, write_cloud, write_manifest
+from canoncover.data import apply_canon
 from canoncover.metrics import parse_metric
 
 
@@ -76,6 +77,26 @@ class TestCanonize:
         assert _read_bytes("out.csv.group.json") == (
             b'{\n  "input": "in.csv",\n  "method": "lexsort",\n  "output": "out.csv",\n'
             b'  "perm": [\n    1,\n    0,\n    2\n  ]\n}\n')
+
+    @pytest.mark.parametrize("method", ["sort", "lexsort", "hilbert:6", "centralize",
+                                        "pca-skew"])
+    def test_sidecar_bytes_match_indented_json(self, method, tmp_path, capsys):
+        # The sidecar writer's fast path against the standard library's
+        # indented encoder, on the record apply_canon returns. pca-skew
+        # nests its d x d frame; n = 1 gives one-entry perms (pca-skew has
+        # no axes there, and sort needs a vector).
+        rng = np.random.default_rng(17)
+        for d, n in ((1, 1), (1, 9), (3, 1), (3, 9)):
+            coords = rng.random((d, n))
+            if (method == "sort" and 1 not in (d, n)) or (method == "pca-skew" and n == 1):
+                continue
+            src = _write(tmp_path, f"in_{d}_{n}.csv", coords)
+            out = str(tmp_path / f"out_{d}_{n}.csv")
+            assert main(["canonize", src, out, "--method", method]) == 0
+            record = {"input": src, "output": out,
+                      **apply_canon(read_cloud(src), method)[1]}
+            expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+            assert _read_bytes(out + ".group.json") == expected.encode(), (d, n)
 
     def test_idempotent_and_permutation_invariant(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from canoncover import metrics
 from canoncover.canon import canon_c1
 from canoncover.coverage import (
     CoverageReport,
@@ -118,15 +119,41 @@ def _split_with_ties(seed, d, spread):
             Dataset(items=test.items[:4] + [copied_test] + test.items[4:]))
 
 
-def _counting(name):
-    calls = [0]
-    base = parse_metric(name)
+def _counting(monkeypatch):
+    """Exact solves per quotient: `linear_sum_assignment` calls for
+    perm-sum, `_bottleneck_assignment` calls for perm-bottleneck (whose
+    search also calls `linear_sum_assignment`, so read only its own
+    count). The scan solves slices of one cost block and never calls
+    `Metric.func`, so wrapping `func` would count nothing."""
+    calls = {"perm-sum": 0, "perm-bottleneck": 0}
+    for name, attr in (("perm-sum", "linear_sum_assignment"),
+                       ("perm-bottleneck", "_bottleneck_assignment")):
+        solver = getattr(metrics, attr)
 
-    def func(X, Y):
-        calls[0] += 1
-        return base.func(X, Y)
+        def counted(cost, name=name, solver=solver):
+            calls[name] += 1
+            return solver(cost)
 
-    return dataclasses.replace(base, func=func), calls
+        monkeypatch.setattr(metrics, attr, counted)
+    return calls
+
+
+def _tier1_solves(train, test, name):
+    """Exact solves of a scan pruned by `Metric.lower_bound` alone: each
+    test item solves candidates in bound order until the next bound
+    exceeds the best value so far."""
+    metric = parse_metric(name)
+    stack = np.stack([item.coords for item in train.items])
+    solves = 0
+    for t in test.items:
+        lower = metric.lower_bound(t.coords, stack)
+        best = np.inf
+        for k in np.argsort(lower, kind="stable"):
+            if lower[k] > best * metrics._PRUNE_SLACK:
+                break
+            best = min(best, metric(t.coords, stack[k]))
+            solves += 1
+    return solves
 
 
 class TestBoundPrunedScan:
@@ -143,19 +170,22 @@ class TestBoundPrunedScan:
             assert report.q[4] == 0.0
 
     @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
-    def test_skips_exact_solves_on_clustered_split(self, name):
+    def test_skips_exact_solves_on_clustered_split(self, name, monkeypatch):
         train, test = synthetic_split(60, 15, clusters=3, d=3, n_points=8, seed=4)
-        metric, calls = _counting(name)
-        report = coverage(train, test, metric)
-        assert calls[0] < len(train) * len(test)
+        tier1 = _tier1_solves(train, test, name)
+        calls = _counting(monkeypatch)
+        report = coverage(train, test, name)
+        assert 0 < calls[name] < tier1 < len(train) * len(test)
         assert np.array_equal(report.q, _full_scan(train, test, name))
 
     def test_metric_without_bound_solves_every_pair(self):
         train, test = synthetic_split(12, 5, clusters=3, d=2, n_points=4, seed=6)
-        metric, calls = _counting("mean-euclidean")
-        assert metric.lower_bound is None
+        base = parse_metric("mean-euclidean")
+        calls = []
+        metric = dataclasses.replace(base, func=lambda X, Y: calls.append(1) or base(X, Y))
+        assert metric.lower_bound is None and metric.nearest is None
         coverage(train, test, metric)
-        assert calls[0] == len(train) * len(test)
+        assert len(calls) == len(train) * len(test)
 
     def test_negative_custom_metric_is_not_pruned(self):
         train = _dataset([(0.0,), (1.0,), (2.0,)])

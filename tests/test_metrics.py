@@ -15,12 +15,16 @@ from canoncover.canon import (
     canon_sort,
     sign_orbit,
 )
+from canoncover import metrics
 from canoncover.coverage import exact_cover_number, greedy_net
 from canoncover.metrics import (
     METRIC_CHOICES,
     InternalConsistencyError,
     Metric,
+    _cost_block,
     _finalize,
+    _reduced_cost_max_bound,
+    _reduced_cost_sum_bound,
     brute_perm_quotient,
     dist_frobenius,
     dist_inf,
@@ -262,6 +266,14 @@ class TestPermQuotients:
         with pytest.raises(ValueError):
             perm_quotient_pnorm([1.0], [2.0], p=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_pnorm_rejects_non_finite(self, p, bad):
+        # Without the check, p = inf turned [nan, 1] vs [0, 1] into 0.0.
+        for args in (([bad, 1.0], [0.0, 1.0]), ([0.0, 1.0], [bad, 1.0])):
+            with pytest.raises(ValueError, match="cloud contains non-finite entries"):
+                perm_quotient_pnorm(*args, p=p)
+
 
 class TestSignQuotient:
     def test_signed_copy_gives_zero(self, rng):
@@ -482,6 +494,123 @@ class TestMarginalCentroidLowerBound:
             has_bound = parse_metric(name).lower_bound is not None
             assert has_bound == (name in ("perm-sum", "perm-bottleneck")), name
         assert parse_metric(dist_inf).lower_bound is None
+
+
+def _tied_pair(rng, d, n, i):
+    """A random pair; every other one is rounded to 0.1 for exact ties and
+    has its last column copied from its first."""
+    X, Y = rng.random((d, n)), rng.random((d, n))
+    if i % 2:
+        X, Y = X.round(1), Y.round(1)
+        X[:, -1] = X[:, 0]
+        Y[:, -1] = Y[:, min(1, n - 1)]
+    return X, Y
+
+
+class TestReducedCostBound:
+    """The tier-2 bounds: each S x n x n cost matrix's row-reduction dual
+    (perm-sum) and max(row minima, column minima) (perm-bottleneck)."""
+
+    BOUNDS = (("mean-euclidean", "euclidean", _reduced_cost_sum_bound, perm_quotient_sum),
+              ("inf", "chebyshev", _reduced_cost_max_bound, perm_quotient_bottleneck))
+
+    def test_below_brute_force(self, rng):
+        for i in range(300):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+            X, Y = _tied_pair(rng, d, n, i)
+            for base, name, bound, _ in self.BOUNDS:
+                lower = bound(cdist(X.T, Y.T, name)[None])
+                assert lower.shape == (1,)
+                assert lower[0] <= brute_perm_quotient(X, Y, base) + TOL, (base, i)
+
+    def test_below_exact_solver_within_slack(self, rng):
+        # The slack is all the scan allows: a bound above value * slack
+        # would skip a candidate that can still win.
+        for i in range(200):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 65))
+            X, Y = _tied_pair(rng, d, n, i)
+            for _, name, bound, quotient in self.BOUNDS:
+                value = quotient(X, Y)
+                assert bound(cdist(X.T, Y.T, name)[None])[0] <= value * metrics._PRUNE_SLACK
+
+    def test_exact_on_a_permuted_copy(self, rng):
+        X = rng.random((3, 9))
+        Y = X[:, rng.permutation(9)]
+        for _, name, bound, _ in self.BOUNDS:
+            assert bound(cdist(X.T, Y.T, name)[None])[0] == 0.0
+
+    def test_stack_matches_one_at_a_time(self, rng):
+        X, B = rng.random((2, 6)), rng.random((5, 2, 6))
+        for _, name, bound, _ in self.BOUNDS:
+            cost = np.stack([cdist(X.T, Y.T, name) for Y in B])
+            stacked = bound(cost)
+            for c in range(5):
+                assert stacked[c] == bound(cost[c:c + 1])[0]
+
+
+class TestNearest:
+    """Metric.nearest: the two-tier pruned scan over a stack of candidates."""
+
+    NAMES = ("perm-sum", "perm-bottleneck")
+
+    @staticmethod
+    def _stack(rng, d, n, spread):
+        """Candidates in three clusters, two of them duplicated, plus a
+        test cloud that is a column-permuted candidate (nearest value 0)."""
+        centers = rng.random((3, d, 1))
+        B = centers[rng.integers(0, 3, 20)] + spread * rng.standard_normal((20, d, n))
+        B = np.concatenate([B, B[[2, 7]]])
+        return B[5][:, rng.permutation(n)], B
+
+    def test_cost_block_slices_equal_pair_cdist(self, rng):
+        # Both layouts, d up to 12, and ties from rounding.
+        for i in range(100):
+            d, n, S = int(rng.integers(1, 13)), int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            X, B = rng.random((d, n)), rng.random((S, d, n))
+            if i % 2:
+                X, B = np.asfortranarray(X.round(1)), B.round(1)
+            for base in ("euclidean", "chebyshev"):
+                cost = _cost_block(X, B, base)
+                assert cost.shape == (S, n, n)
+                for s in range(S):
+                    assert np.array_equal(cost[s], cdist(X.T, B[s].T, base)), (i, base, s)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equals_plain_min(self, name, block, monkeypatch):
+        # block = 1 caps every cost block at one candidate, so the scan
+        # takes the multi-block path.
+        if block is not None:
+            monkeypatch.setattr(metrics, "_COST_BLOCK", block)
+        rng = np.random.default_rng(41)
+        metric = parse_metric(name)
+        for d, n, spread in itertools.product((1, 3), (1, 5, 24), (0.05, 0.4)):
+            copy, B = self._stack(rng, d, n, spread)
+            assert metric.nearest(copy, B) == 0.0
+            for X in (rng.random((d, n)), B[3] + 0.01):
+                expected = min(metric(X, Y) for Y in B)
+                assert metric.nearest(X, B) == expected, (d, n, spread)
+                assert metric.nearest(X, B[:1]) == metric(X, B[0])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_rejects_non_finite_and_mismatched_input(self, name):
+        nearest = parse_metric(name).nearest
+        X, B = np.zeros((2, 3)), np.ones((4, 2, 3))
+        for bad in (np.nan, np.inf):
+            X_bad, B_bad = X.copy(), B.copy()
+            X_bad[1, 2], B_bad[3, 0, 1] = bad, bad
+            for args in ((X_bad, B), (X, B_bad)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    nearest(*args)
+        with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(2, 4\)"):
+            nearest(X, np.ones((4, 2, 4)))
+        with pytest.raises(ValueError):
+            nearest(X, np.ones((0, 2, 3)))
+
+    def test_only_permutation_quotients_carry_a_scan(self):
+        for name in METRIC_CHOICES:
+            has_scan = parse_metric(name).nearest is not None
+            assert has_scan == (name in self.NAMES), name
 
 
 class TestIsometryCertificates:
