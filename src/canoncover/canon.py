@@ -149,19 +149,31 @@ def canon_hilbert_stack(B, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (N x d x n C-ordered canonical clouds, N x n permutations),
     with clouds[k] == B[k][:, perms[k]]. One `cloud_indices` call covers
-    the columns of all N clouds, and one lexsort orders them with the
-    item number as its most significant key, so each item's order is
-    exactly the one `canon_hilbert` gives it alone.
+    the columns of all N clouds. A stable argsort of each item's indices
+    orders it by curve index, then by original position. Columns that
+    share a cell are then put in row order by one lexsort over those
+    columns alone, keyed (item, index, rows), which writes them back into
+    the slots they already hold. Each item's order is exactly the one
+    `canon_hilbert` gives it alone.
     """
     B = _as_cloud(B, ndim=3)
     if np.min(B) < 0.0 or np.max(B) > 1.0:
         raise ValueError("hilbert canonization requires all entries in [0, 1]")
     N, d, n = B.shape
     params = HilbertParams(d=d, m=m)
-    columns = B.transpose(1, 0, 2).reshape(d, N * n)
-    idx = cloud_indices(params, columns)
-    item = np.repeat(np.arange(N), n)
-    perms = np.lexsort(tuple(columns[::-1]) + (idx, item)).reshape(N, n) % n
+    idx = cloud_indices(params, B.transpose(1, 0, 2).reshape(d, N * n)).reshape(N, n)
+    perms = np.argsort(idx, axis=1, kind="stable")
+    ranked = np.take_along_axis(idx, perms, axis=1)
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    if tied.any():
+        runs = np.zeros((N, n), dtype=bool)
+        runs[:, 1:] = tied
+        runs[:, :-1] |= tied
+        item, slot = np.nonzero(runs)
+        cols = perms[item, slot]
+        rows = B[item, :, cols].T
+        order = np.lexsort(tuple(rows[::-1]) + (ranked[item, slot], item))
+        perms[item, slot] = cols[order]
     return np.take_along_axis(B, perms[:, None, :], axis=2), perms
 
 

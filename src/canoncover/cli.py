@@ -11,6 +11,7 @@ digits. Identical inputs, seed, and flags produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -258,9 +259,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser `main` uses, built once: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

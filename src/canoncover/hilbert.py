@@ -15,7 +15,9 @@ Scalar `encode`/`decode` work on one cell or index with Python ints and
 are the reference. Whole clouds go through an array form of the same
 transform: `cloud_indices` finds every column's cell in one numpy pass
 and encodes the d x n uint64 cell array, looping only over the m levels
-and d axes. `cell_of` and `snap_to_centroids` share that cell step.
+and d axes. Each step there is a few in-place numpy calls on whole rows:
+a bit test becomes a mask, and the index is packed one (level, axis) bit
+row at a time. `cell_of` and `snap_to_centroids` share that cell step.
 """
 
 from __future__ import annotations
@@ -184,31 +186,54 @@ def _encode_cells(params: HilbertParams, cells: np.ndarray) -> np.ndarray:
     """Curve indices of the columns of a d x n uint64 cell array.
 
     `_axes_to_transpose` then `_transpose_to_index`, applied to whole rows.
+    Each branch on a bit becomes arithmetic on the mask
+    p & (0 - bit), which is p where the bit is set and 0 elsewhere, and
+    every update runs in place in two scratch rows.
     """
     d, m = params.d, params.m
-    x = cells.copy()
-    zero = np.uint64(0)
+    x = np.array(cells, dtype=np.uint64, order="C")
+    x0 = x[0]
+    mask = np.empty(x.shape[1], dtype=np.uint64)
+    t = np.empty_like(mask)
+
+    def bit_mask(row, level, p):
+        """mask = p where bit `level` of row is set, else 0."""
+        np.right_shift(row, level, out=mask)
+        np.bitwise_and(mask, 1, out=mask)
+        np.subtract(0, mask, out=mask)
+        np.bitwise_and(mask, p, out=mask)
+
     for level in range(m - 1, 0, -1):
-        q = np.uint64(1 << level)
-        p = q - np.uint64(1)
+        p = (1 << level) - 1
         for i in range(d):
-            on = (x[i] & q) != 0
-            t = np.where(on, zero, (x[0] ^ x[i]) & p)
-            x[0] ^= np.where(on, p, t)
-            x[i] ^= t  # t is 0 when i == 0
+            # Bit set: invert the low bits of x0. Clear: swap the low
+            # bits of x0 and x[i]. With t the swap term, x0 ^= t | mask
+            # covers both, and x[i] ^= t & ~mask == (t | mask) ^ mask.
+            xi = x[i]
+            bit_mask(xi, level, p)
+            if i == 0:
+                x0 ^= mask
+                continue
+            np.bitwise_xor(x0, xi, out=t)
+            np.bitwise_and(t, p, out=t)
+            np.bitwise_or(t, mask, out=t)
+            x0 ^= t
+            np.bitwise_xor(t, mask, out=t)
+            xi ^= t
     for i in range(1, d):
         x[i] ^= x[i - 1]
-    t = np.zeros(x.shape[1], dtype=np.uint64)
+    t[:] = 0
     for level in range(m - 1, 0, -1):
-        q = np.uint64(1 << level)
-        t ^= np.where((x[d - 1] & q) != 0, q - np.uint64(1), zero)
+        bit_mask(x[d - 1], level, (1 << level) - 1)
+        t ^= mask
     x ^= t
     # Bit `level` of axis i lands at position level*d + (d-1-i) of the index.
-    shifts = np.arange(d - 1, -1, -1, dtype=np.uint64)[:, None]
     h = np.zeros(x.shape[1], dtype=np.uint64)
     for level in range(m):
-        bits = (x >> np.uint64(level)) & np.uint64(1)
-        h |= np.bitwise_or.reduce(bits << (shifts + np.uint64(level * d)), axis=0)
+        for i in range(d):
+            np.bitwise_and(x[i], 1 << level, out=mask)
+            np.left_shift(mask, level * (d - 1) + d - 1 - i, out=mask)
+            h |= mask
     return h
 
 

@@ -80,6 +80,15 @@ def _check_hilbert_array_encoder(rng):
         centroids = np.array([hilbert.centroid(params, c) for c in cells]).T
         got = hilbert.cloud_indices(params, centroids).tolist()
         assert got == [hilbert.encode(params, c) for c in cells], params
+    # One random grid per d at the largest order the 64-bit index allows,
+    # with the all-0 and all-(2^m - 1) cells.
+    for d in range(1, 9):
+        params = hilbert.HilbertParams(d=d, m=hilbert.MAX_TOTAL_BITS // d)
+        cells = rng.integers(0, params.cells_per_axis, size=(d, 32), dtype=np.uint64)
+        cells[:, 0] = 0
+        cells[:, 1] = params.cells_per_axis - 1
+        got = hilbert._encode_cells(params, cells).tolist()
+        assert got == [hilbert.encode(params, c) for c in cells.T.tolist()], params
 
 
 def _check_hilbert_adjacency(rng):
@@ -356,6 +365,27 @@ def _check_pruned_scan(rng):
     assert np.array_equal(coverage_of(train, test, metric).q, full), "n = 256"
 
 
+def _check_nearest_in_later_block(rng):
+    # Every candidate shuffles each row of one cloud on its own, so all
+    # share their sorted marginals and centroid: tier 1 gives them one
+    # bound and keeps them in stack order. The test cloud is a column
+    # permutation of the last candidate, at quotient distance 0, which
+    # puts the nearest candidate past the first cost block.
+    n = 256
+    per_block = metrics._COST_BLOCK // (n * n)
+    base = rng.random((2, n))
+    B = np.stack([np.stack([rng.permutation(row) for row in base])
+                  for _ in range(per_block + 4)])
+    X = B[-1][:, rng.permutation(n)]
+    metric = metrics.parse_metric("perm-sum")
+    lower = metric.lower_bound(X, B)
+    assert np.all(lower == lower[0]), "tier 1 separates the candidates"
+    full = [metric(X, Y) for Y in B]
+    assert int(np.argmin(full)) == len(B) - 1 and full[-1] == 0.0, full
+    nearest = metric.nearest(X, B)
+    assert nearest == min(full), (nearest, min(full))
+
+
 def _check_greedy_validity(rng):
     for _ in range(20):
         pts = [rng.random((2, 3)) for _ in range(12)]
@@ -467,6 +497,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
     "coverage": [
         ("quotient dominates canonized coverage", _check_coverage_domination),
         ("pruned scan equals full scan", _check_pruned_scan),
+        ("nearest candidate past the first cost block", _check_nearest_in_later_block),
         ("greedy net validity", _check_greedy_validity),
         ("exact cover <= greedy size", _check_exact_vs_greedy),
     ],

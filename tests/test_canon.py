@@ -291,6 +291,45 @@ class TestHilbertStack:
                 assert np.array_equal(perms[k], np.lexsort(tuple(B[k][::-1]) + (idx,)))
                 assert np.array_equal(clouds[k], B[k][:, perms[k]])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_ties_match_inline_rule(self, rng, d, m):
+        # At m = 1-2 most columns share a cell with another. Half the
+        # stacks sit on the quarter grid, so entries hit 0 and 1 exactly
+        # and whole columns repeat; the rest get duplicated columns.
+        params = HilbertParams(d=d, m=m)
+        for trial in range(12):
+            N, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            B = rng.random((N, d, n))
+            if trial % 2:
+                B = np.round(B * 4.0) / 4.0
+            else:
+                dst, src = rng.integers(0, n, size=(2, n // 2))
+                B[:, :, dst] = B[:, :, src]
+            for stack in (B, np.asfortranarray(B)):
+                clouds, perms = canon_hilbert_stack(stack, m)
+                for k in range(N):
+                    X = np.asfortranarray(stack[k])
+                    perm = np.lexsort(tuple(X[::-1]) + (cloud_indices(params, X),))
+                    one = canon_hilbert(X, m)
+                    for got, cloud in ((perms[k], clouds[k]), (one.perm, one.cloud)):
+                        assert np.array_equal(got, perm), (d, m, trial, k)
+                        assert np.array_equal(cloud, X[:, perm]), (d, m, trial, k)
+
+    def test_ties_in_one_large_cloud(self, rng):
+        X = rng.random((3, 5000))
+        dst, src = rng.integers(0, 5000, size=(2, 300))
+        X[:, dst] = X[:, src]
+        X[:, :20] = 0.0
+        X[:, 20:40] = 1.0
+        X[0, 40:60] = 1.0
+        for m in (1, 10):
+            perm = np.lexsort(tuple(X[::-1]) + (cloud_indices(HilbertParams(3, m), X),))
+            clouds, perms = canon_hilbert_stack(X[None], m)
+            one = canon_hilbert(X, m)
+            assert np.array_equal(perms[0], perm) and np.array_equal(one.perm, perm)
+            assert np.array_equal(clouds[0], X[:, perm]) and np.array_equal(one.cloud, X[:, perm])
+
     def test_output_is_c_ordered_for_either_layout(self, rng):
         B = rng.random((4, 3, 10))
         for stack in (B, np.asfortranarray(B)):

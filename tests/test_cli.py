@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from canoncover import verify
+import canoncover
+from canoncover import cli, verify
 from canoncover.cli import main
 from canoncover.cloudio import format_number, read_cloud, write_cloud, write_manifest
 from canoncover.data import apply_canon
@@ -457,3 +458,44 @@ class TestParsing:
         assert proc.returncode == 0
         for name in ("canonize", "dist", "coverage", "bounds", "gen", "verify"):
             assert name in proc.stdout
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        cli._parser.cache_clear()
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        try:
+            assert main(["bounds", "--n", "10"]) == 0
+            with pytest.raises(SystemExit):
+                main(["bounds", "--zap"])
+            assert main(["bounds", "--n", "20", "--format", "csv"]) == 0
+            assert len(builds) == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_reused_parser_output_matches_fresh_process(self, tmp_path, capsys):
+        # One process runs a good job, a parse error and another job on one
+        # parser; each must print what a fresh process prints.
+        train, test = _make_manifests(tmp_path)
+        jobs = [["bounds", "--n", "250,500", "--format", "json"],
+                ["coverage", "--train", train, "--metric"],
+                ["coverage", "--train", train, "--test", test,
+                 "--metric", "perm-sum", "--canon", "hilbert:4"]]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(canoncover.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for argv, code in zip(jobs, (0, 1, 0)):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "canoncover.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            assert rc == code, argv

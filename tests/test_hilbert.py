@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from canoncover.hilbert import (
     MAX_TOTAL_BITS,
     HilbertParams,
+    _encode_cells,
     cell_of,
     centroid,
     cloud_indices,
@@ -198,6 +199,25 @@ def test_cloud_indices_matches_pointwise(rng):
             assert cell_of(params, X[:, col]) == cell
             assert int(idx[col]) == encode(params, cell), (d, m, col)
         assert int(idx[1]) == encode(params, (params.cells_per_axis - 1,) * d)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_array_encoder_matches_encode_at_every_order(d, rng):
+    # Random cells at every order the 64-bit index allows, plus the all-0
+    # and all-(2^m - 1) cells. Integer cells reach every bit of the index
+    # even at m = 62; coordinates c / 2^m also take cloud_indices' cell
+    # step, where m > 53 rounds c to a float first.
+    for m in range(1, MAX_TOTAL_BITS // d + 1):
+        params = HilbertParams(d=d, m=m)
+        side = params.cells_per_axis
+        cells = rng.integers(0, side, size=(d, 24), dtype=np.uint64)
+        cells[:, 0] = 0
+        cells[:, 1] = side - 1
+        expected = [encode(params, cell) for cell in cells.T.tolist()]
+        assert _encode_cells(params, cells).tolist() == expected, (d, m)
+        X = cells.astype(float) / side
+        expected = [encode(params, _reference_cell(params, col)) for col in X.T]
+        assert cloud_indices(params, X).tolist() == expected, (d, m)
 
 
 def test_snap_to_centroids_matches_pointwise(rng):
