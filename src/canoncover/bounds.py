@@ -65,15 +65,21 @@ def as_exact_ratio(eps) -> Fraction:
     """Coerce an epsilon into an exact Fraction.
 
     Fractions and ints pass through; strings parse exactly ("1/6",
-    "0.25"); floats snap to the nearest fraction with denominator up to
-    1e9, which recovers the intended value of literals like 1/6.
+    "0.25"), and any other string is a ValueError; floats snap to the
+    nearest fraction with denominator up to 1e9, which recovers the
+    intended value of literals like 1/6.
     """
     if isinstance(eps, Fraction):
         return eps
     if isinstance(eps, int):
         return Fraction(eps)
     if isinstance(eps, str):
-        return Fraction(eps.strip())
+        try:
+            return Fraction(eps.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"epsilon must be an exact ratio such as 1/6 or 0.25, got {eps!r}"
+            ) from None
     if isinstance(eps, float):
         return Fraction(eps).limit_denominator(10**9)
     raise TypeError(f"cannot interpret {eps!r} as an exact ratio")

@@ -120,9 +120,36 @@ def write_cloud(path, coords: np.ndarray) -> None:
         fh.write((row * coords.shape[1]) % tuple(coords.T.ravel().tolist()))
 
 
+def _normalization(where: str, options) -> dict:
+    """`normalize_cloud`'s keyword arguments from a manifest's
+    normalization object; ValueError names `where` for a bad value."""
+    if options is None:
+        options = {}
+    if not isinstance(options, dict):
+        raise ValueError(f"{where}: normalization must be a JSON object, "
+                         f"got {type(options).__name__}")
+    sample_n = options.get("sample_n")
+    if sample_n is not None and (isinstance(sample_n, bool)
+                                 or not isinstance(sample_n, int) or sample_n < 1):
+        raise ValueError(f"{where}: sample_n must be a positive integer, got {sample_n!r}")
+    kwargs = {"sample_n": sample_n}
+    for flag in ("shift_positive", "divide_max_axis"):
+        value = options.get(flag, True)
+        if not isinstance(value, bool):
+            raise ValueError(f"{where}: {flag} must be true or false, got {value!r}")
+        kwargs[flag] = value
+    return kwargs
+
+
 def read_manifest(path, rng=None) -> Dataset:
     """Load a JSON Lines manifest into a Dataset, applying any
-    normalization options it declares."""
+    normalization options it declares.
+
+    Every line is checked as it is read: each must be a JSON object, an
+    entry's "path" a string, and a normalization line's "sample_n" a
+    positive integer and its two flags true or false. ValueError names
+    the manifest and line.
+    """
     entries = []
     normalization = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -130,15 +157,20 @@ def read_manifest(path, rng=None) -> Dataset:
             line = raw.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
             if "normalization" in obj and "path" not in obj:
-                normalization = obj["normalization"] or {}
+                normalization = _normalization(where, obj["normalization"])
                 continue
             if "path" not in obj:
-                raise ValueError(f"{path}:{lineno}: entry missing 'path'")
+                raise ValueError(f"{where}: entry missing 'path'")
+            if not isinstance(obj["path"], str):
+                raise ValueError(f"{where}: 'path' must be a string, got {obj['path']!r}")
             entries.append(obj)
     base = os.path.dirname(os.path.abspath(path))
     items = []
@@ -148,13 +180,7 @@ def read_manifest(path, rng=None) -> Dataset:
             cloud_path = os.path.join(base, cloud_path)
         coords = read_cloud(cloud_path)
         if normalization is not None:
-            coords = normalize_cloud(
-                coords,
-                sample_n=normalization.get("sample_n"),
-                shift_positive=normalization.get("shift_positive", True),
-                divide_max_axis=normalization.get("divide_max_axis", True),
-                rng=rng,
-            )
+            coords = normalize_cloud(coords, rng=rng, **normalization)
         items.append(PointCloud(coords=coords, label=obj.get("label")))
     return Dataset(items=items, name=os.path.basename(path))
 

@@ -27,6 +27,13 @@ Survivors are solved in order of that bound until the next one exceeds
 the best value by the slack. The reduced-cost bound sums non-negative
 terms read from the same cost matrix the solver reads, so its rounding
 error is a few ulps of the candidate's own value, far inside the slack.
+
+scipy is imported on the first call to `linear_sum_assignment` or
+`cdist`, that is, on the first permutation-quotient solve or cost build,
+never on import. Importing it takes longer than the jobs that do not need
+it (`canonize`, `gen`, `bounds`, the base metrics). Both names are module
+functions that every caller looks up at call time, so patching either on
+this module reaches every solve or cost build, before or after scipy loads.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .canon import _as_cloud, canon_centralize, iter_sign_orbit
 
@@ -58,6 +63,25 @@ __all__ = [
     "parse_metric",
     "METRIC_CHOICES",
 ]
+
+
+@functools.cache
+def _scipy():
+    """scipy's assignment solver and `cdist`, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+    from scipy.spatial.distance import cdist as pair_costs
+    return solve, pair_costs
+
+
+def linear_sum_assignment(cost_matrix, maximize=False):
+    """scipy.optimize.linear_sum_assignment, loaded on first use."""
+    return _scipy()[0](cost_matrix, maximize)
+
+
+def cdist(XA, XB, metric="euclidean"):
+    """scipy.spatial.distance.cdist, loaded on first use."""
+    return _scipy()[1](XA, XB, metric)
+
 
 # Distances this far below zero indicate a bug, not rounding dust.
 _NEGATIVE_GUARD = -1e-12

@@ -347,6 +347,14 @@ class TestBounds:
         assert main(["bounds", "--n", ""]) == 1
         assert main(["bounds", "--m", "1"]) == 1  # eps=1/6 <= 2^-2
 
+    @pytest.mark.parametrize("raw", ["1/0", "nan", "inf", "0.1.2"])
+    def test_unparsable_eps_exits_1(self, raw, capsys):
+        assert main(["bounds", "--eps", raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: epsilon must be an exact ratio such as 1/6 "
+                                f"or 0.25, got '{raw}'\n")
+        assert captured.out == ""
+
     def test_non_integer_curve_order_exits_1(self, capsys):
         assert main(["bounds", "--m", "x"]) == 1
         captured = capsys.readouterr()
@@ -499,3 +507,48 @@ class TestParsing:
                                    capture_output=True, text=True, env=env)
             assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
             assert rc == code, argv
+
+
+# Runs in a fresh interpreter: the jobs that need no permutation quotient
+# must leave scipy unimported, and the first perm-sum job must load it.
+_IMPORT_PROBE = """
+import sys
+
+import canoncover
+import canoncover.cli
+
+a, b, work = sys.argv[1:]
+jobs = [["bounds", "--n", "10,20"],
+        ["gen", "--clusters", "2", "--per-cluster", "3", "--d", "2", "--n", "6",
+         "--out", work + "/set.jsonl"],
+        ["canonize", a, work + "/out.csv", "--method", "hilbert:4"],
+        ["dist", a, b, "--metric", "inf"],
+        ["coverage", "--train", work + "/set.jsonl", "--test", work + "/set.jsonl",
+         "--metric", "frobenius", "--canon", "hilbert:4"]]
+for argv in jobs:
+    assert canoncover.cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, [m for m in sys.modules if m.startswith("scipy.")][:5]
+assert canoncover.cli.main(["dist", a, b, "--metric", "perm-sum"]) == 0
+assert "scipy.optimize" in sys.modules and "scipy.spatial.distance" in sys.modules
+"""
+
+
+class TestImports:
+    def test_scipy_loads_only_for_permutation_quotients(self, tmp_path):
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(11)
+        a = _write(tmp_path, "a.csv", rng.random((2, 7)))
+        b = _write(tmp_path, "b.csv", rng.random((2, 7)))
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(canoncover.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, a, b, str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        cost = cdist(read_cloud(a).T, read_cloud(b).T)
+        rows, cols = linear_sum_assignment(cost)
+        expect = cost[rows, cols].sum() / cost.shape[1]
+        assert proc.stdout.splitlines()[-1] == format_number(expect)

@@ -202,6 +202,46 @@ class TestBoundPrunedScan:
             coverage(train, test, name)
 
 
+class TestSolverPatchContract:
+    """`metrics.linear_sum_assignment` and `metrics.cdist` are the only route
+    to scipy's solver and pair costs, so a patch on either module name sees
+    every exact solve and cost build, and the results do not change."""
+
+    def _patch(self, monkeypatch):
+        loaded = dict(zip(("linear_sum_assignment", "cdist"), metrics._scipy()))
+        reached = dict.fromkeys(loaded, 0)
+        patched = dict.fromkeys(loaded, 0)
+
+        def counter(calls, name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        scipy_fns = tuple(counter(reached, name, fn) for name, fn in loaded.items())
+        monkeypatch.setattr(metrics, "_scipy", lambda: scipy_fns)
+        for name in loaded:
+            monkeypatch.setattr(metrics, name, counter(patched, name, getattr(metrics, name)))
+        return reached, patched
+
+    @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
+    def test_coverage(self, name, monkeypatch):
+        train, test = synthetic_split(40, 10, clusters=3, d=3, n_points=8, seed=4)
+        expected = coverage(train, test, name).q
+        reached, patched = self._patch(monkeypatch)
+        assert coverage(train, test, name).q.tobytes() == expected.tobytes()
+        assert patched == reached
+        assert reached["linear_sum_assignment"] > 0 and reached["cdist"] > 0
+
+    def test_perm_quotient_pnorm(self, monkeypatch, rng):
+        pairs = [(rng.random(7), rng.random(7)) for _ in range(6)]
+        runs = [(x, y, p) for x, y in pairs for p in (1, 2, np.inf)]
+        expected = [metrics.perm_quotient_pnorm(*run) for run in runs]
+        reached, patched = self._patch(monkeypatch)
+        assert [metrics.perm_quotient_pnorm(*run) for run in runs] == expected
+        assert patched == reached and reached["linear_sum_assignment"] > 0
+
+
 class TestGreedy:
     def test_single_cluster(self):
         pts = [np.array([[0.0]]), np.array([[0.05]]), np.array([[0.09]])]

@@ -467,6 +467,39 @@ class TestManifest:
         with pytest.raises(ValueError, match="missing 'path'"):
             read_manifest(manifest)
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"normalization": {"sample_n": 0}}', "sample_n must be a positive integer, got 0"),
+        ('{"normalization": {"sample_n": -1}}', "sample_n must be a positive integer, got -1"),
+        ('{"normalization": {"sample_n": "x"}}',
+         "sample_n must be a positive integer, got 'x'"),
+        ('{"normalization": {"sample_n": 2.5}}', "sample_n must be a positive integer, got 2.5"),
+        ('{"normalization": {"sample_n": true}}',
+         "sample_n must be a positive integer, got True"),
+        ('{"normalization": [1]}', "normalization must be a JSON object, got list"),
+        ('{"normalization": "x"}', "normalization must be a JSON object, got str"),
+        ('{"normalization": {"shift_positive": "no"}}',
+         "shift_positive must be true or false, got 'no'"),
+        ('{"normalization": {"divide_max_axis": 0}}',
+         "divide_max_axis must be true or false, got 0"),
+        ('{"path": 5}', "'path' must be a string, got 5"),
+        ('[{"path": "c0.csv"}]', "expected a JSON object, got list"),
+    ])
+    def test_malformed_line_rejected(self, tmp_path, line, message):
+        write_cloud(tmp_path / "c0.csv", np.arange(6, dtype=float).reshape(2, 3))
+        manifest = tmp_path / "set.jsonl"
+        manifest.write_text('{"path": "c0.csv", "label": 0}\n' + line + "\n")
+        with pytest.raises(ValueError) as exc:
+            read_manifest(manifest, rng=np.random.default_rng(0))
+        assert str(exc.value) == f"{manifest}:2: {message}"
+
+    @pytest.mark.parametrize("options", ["null", "{}"])
+    def test_empty_normalization_applies_defaults(self, tmp_path, options):
+        X = np.array([[2.0, 4.0], [6.0, 8.0]])
+        write_cloud(tmp_path / "c0.csv", X)
+        manifest = tmp_path / "set.jsonl"
+        manifest.write_text('{"normalization": %s}\n{"path": "c0.csv"}\n' % options)
+        assert np.array_equal(read_manifest(manifest).items[0].coords, normalize_cloud(X))
+
     def test_invalid_json_rejected(self, tmp_path):
         manifest = tmp_path / "set.jsonl"
         manifest.write_text("{not json}\n")
