@@ -1,88 +1,43 @@
 """Group-symmetric canonizations, quotient metrics, coverage estimators,
-and exact covering-number bounds for point clouds in the unit cube."""
+and exact covering-number bounds for point clouds in the unit cube.
 
-from .bounds import (
-    TABLE_FORMULAS,
-    LogValue,
-    TableEntry,
-    as_exact_ratio,
-    bound_group_cardinality,
-    bound_hilbert_upper,
-    bound_hypercube_exact,
-    bound_lexsort_lower,
-    bound_quotient_upper,
-    bounds_table,
-    digit_count,
-    generalization_rhs,
-    mantissa_exponent,
-    multiset_count,
-    sci_string,
-)
-from .canon import (
-    CanonResult,
-    DegenerateSpectrumError,
-    canon_abs,
-    canon_c1,
-    canon_centralize,
-    canon_cinf,
-    canon_hilbert,
-    canon_hilbert_stack,
-    canon_lexsort,
-    canon_skewness_sign,
-    canon_sort,
-    jacobi_eigh,
-    pca_align,
-    sign_orbit,
-)
-from .coverage import (
-    CoverageReport,
-    LabelCoverageError,
-    NetResult,
-    coverage,
-    exact_cover_number,
-    greedy_net,
-    greedy_packing,
-    two_ball_set,
-)
-from .data import (
-    CANON_CHOICES,
-    Dataset,
-    PointCloud,
-    apply_canon,
-    canonize_dataset,
-    normalize_cloud,
-    synthetic_dataset,
-    synthetic_split,
-)
-from .hilbert import (
-    HilbertParams,
-    cell_of,
-    centroid,
-    cloud_indices,
-    decode,
-    encode,
-    index_centroid,
-    snap_to_centroids,
-)
-from .metrics import (
-    METRIC_CHOICES,
-    InternalConsistencyError,
-    Metric,
-    brute_perm_quotient,
-    dist_frobenius,
-    dist_inf,
-    dist_mean_euclidean,
-    parse_metric,
-    perm_quotient_bottleneck,
-    perm_quotient_pnorm,
-    perm_quotient_sum,
-    sign_quotient,
-    translation_quotient,
-    wasserstein_1d,
-)
-from .verify import SUITE_NAMES, CheckResult, run_suite
+The package loads lazily (PEP 562; Scientific Python SPEC 1, "Lazy Loading
+of Submodules and Functions"): `import canoncover` imports none of its
+submodules, and a public name imports the submodule that defines it on
+first access. So `canoncover bounds`, which is integer arithmetic, never
+loads numpy. `from canoncover import X`, `from canoncover import *` and
+`canoncover.<submodule>` give the same objects as eager imports would.
+"""
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
+
+# Public name -> the submodule that defines it.
+_ORIGIN = {name: module for module, names in {
+    "bounds": ("TABLE_FORMULAS", "LogValue", "TableEntry", "as_exact_ratio",
+               "bound_group_cardinality", "bound_hilbert_upper", "bound_hypercube_exact",
+               "bound_lexsort_lower", "bound_quotient_upper", "bounds_table", "digit_count",
+               "generalization_rhs", "mantissa_exponent", "multiset_count", "sci_string"),
+    "canon": ("CanonResult", "DegenerateSpectrumError", "canon_abs", "canon_c1",
+              "canon_centralize", "canon_cinf", "canon_hilbert", "canon_hilbert_stack",
+              "canon_lexsort", "canon_skewness_sign", "canon_sort", "jacobi_eigh", "pca_align",
+              "sign_orbit"),
+    "choices": ("CANON_CHOICES", "METRIC_CHOICES", "SUITE_NAMES"),
+    "coverage": ("CoverageReport", "LabelCoverageError", "NetResult", "coverage",
+                 "exact_cover_number", "greedy_net", "greedy_packing", "two_ball_set"),
+    "data": ("Dataset", "PointCloud", "apply_canon", "canonize_dataset", "normalize_cloud",
+             "synthetic_dataset", "synthetic_split"),
+    "hilbert": ("HilbertParams", "cell_of", "centroid", "cloud_indices", "decode", "encode",
+                "index_centroid", "snap_to_centroids"),
+    "metrics": ("InternalConsistencyError", "Metric", "brute_perm_quotient", "dist_frobenius",
+                "dist_inf", "dist_mean_euclidean", "parse_metric", "perm_quotient_bottleneck",
+                "perm_quotient_pnorm", "perm_quotient_sum", "sign_quotient",
+                "translation_quotient", "wasserstein_1d"),
+    "verify": ("CheckResult", "run_suite"),
+}.items() for name in names}
 
 __all__ = [
     "CANON_CHOICES",
@@ -156,3 +111,34 @@ __all__ = [
     "two_ball_set",
     "wasserstein_1d",
 ]
+
+
+def __getattr__(name):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+        globals()[name] = value
+        return value
+    if name in _ORIGIN.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """The package's module type.
+
+    Importing a submodule binds it on the package under its own name. The
+    submodule `coverage` shares its name with its function `coverage`, so
+    that binding would hide the function; it binds the function instead.
+    """
+
+    def __setattr__(self, name, value):
+        if isinstance(value, types.ModuleType) and _ORIGIN.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -6,6 +6,13 @@ numeric output is decimal at 12 significant digits; bound magnitudes are
 rendered as two-significant-figure mantissa/exponent strings, with the
 exact integers included in JSON output when they stay at or below 4096
 digits. Identical inputs, seed, and flags produce byte-identical output.
+
+The parser reads its help and choices from `choices` and `bounds`, which
+import no numpy, and each subcommand imports what it runs inside its
+handler. So `bounds` and every `--help` never load numpy or scipy. The
+handlers look each name up on its defining module at call time, so a
+patch on that module (`canoncover.cloudio.read_cloud`, say) reaches the
+CLI.
 """
 
 from __future__ import annotations
@@ -16,14 +23,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
-from .cloudio import format_number, read_cloud, read_manifest, write_cloud, write_manifest
-from .coverage import coverage as run_coverage
-from .data import CANON_CHOICES, apply_canon, canonize_dataset, synthetic_dataset
-from .metrics import METRIC_CHOICES, parse_metric
-from .verify import SUITE_NAMES, run_suite
+from .choices import CANON_CHOICES, METRIC_CHOICES, SUITE_NAMES
 
 # JSON carries a bound's exact integer only below this: at most 4096 digits.
 _EXACT_JSON_LIMIT = 10**4096
@@ -79,6 +80,9 @@ def _sidecar_json(record: dict) -> str:
 
 
 def _cmd_canonize(args) -> int:
+    from .cloudio import read_cloud, write_cloud
+    from .data import apply_canon
+
     coords = read_cloud(args.input)
     cloud, record = apply_canon(coords, args.method)
     write_cloud(args.output, cloud)
@@ -91,6 +95,9 @@ def _cmd_canonize(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    from .cloudio import format_number, read_cloud
+    from .metrics import parse_metric
+
     metric = parse_metric(args.metric)
     value = metric(read_cloud(args.file_a), read_cloud(args.file_b))
     print(format_number(value))
@@ -98,13 +105,19 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    import numpy as np
+
+    from .cloudio import read_manifest
+    from .coverage import coverage
+    from .data import canonize_dataset
+
     rng = np.random.default_rng(args.seed)
     train = read_manifest(args.train, rng=rng)
     test = read_manifest(args.test, rng=rng)
     if args.canon:
         train = canonize_dataset(train, args.canon)
         test = canonize_dataset(test, args.canon)
-    report = run_coverage(train, test, args.metric, same_label_only=args.same_label)
+    report = coverage(train, test, args.metric, same_label_only=args.same_label)
     payload = {
         "canon": args.canon,
         "same_label_only": bool(args.same_label),
@@ -161,6 +174,9 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .cloudio import write_cloud, write_manifest
+    from .data import synthetic_dataset
+
     if min(args.clusters, args.per_cluster, args.d, args.n) < 1:
         raise ValueError("sizes must be positive")
     ds = synthetic_dataset(args.clusters * args.per_cluster, args.clusters,
@@ -178,6 +194,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     results = run_suite(args.suite, seed=args.seed)
     if args.format == "json":
         payload = [{"check": r.name, "passed": r.passed, "detail": r.detail}

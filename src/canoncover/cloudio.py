@@ -120,14 +120,22 @@ def write_cloud(path, coords: np.ndarray) -> None:
         fh.write((row * coords.shape[1]) % tuple(coords.T.ravel().tolist()))
 
 
+_NORMALIZATION_KEYS = ("sample_n", "shift_positive", "divide_max_axis")
+
+
 def _normalization(where: str, options) -> dict:
     """`normalize_cloud`'s keyword arguments from a manifest's
-    normalization object; ValueError names `where` for a bad value."""
+    normalization object; ValueError names `where` for a bad value or an
+    unknown key."""
     if options is None:
         options = {}
     if not isinstance(options, dict):
         raise ValueError(f"{where}: normalization must be a JSON object, "
                          f"got {type(options).__name__}")
+    for key in options:
+        if key not in _NORMALIZATION_KEYS:
+            raise ValueError(f"{where}: unknown normalization key {key!r}; "
+                             f"allowed: {', '.join(_NORMALIZATION_KEYS)}")
     sample_n = options.get("sample_n")
     if sample_n is not None and (isinstance(sample_n, bool)
                                  or not isinstance(sample_n, int) or sample_n < 1):
@@ -146,9 +154,11 @@ def read_manifest(path, rng=None) -> Dataset:
     normalization options it declares.
 
     Every line is checked as it is read: each must be a JSON object, an
-    entry's "path" a string, and a normalization line's "sample_n" a
-    positive integer and its two flags true or false. ValueError names
-    the manifest and line.
+    entry's "path" a string and its "label" absent, null or a non-negative
+    integer, and a normalization line may hold only "sample_n", a positive
+    integer, and its two flags, true or false. ValueError names the
+    manifest and line; an error from normalizing a cloud (a "sample_n"
+    above its point count) also names the cloud file.
     """
     entries = []
     normalization = None
@@ -171,16 +181,24 @@ def read_manifest(path, rng=None) -> Dataset:
                 raise ValueError(f"{where}: entry missing 'path'")
             if not isinstance(obj["path"], str):
                 raise ValueError(f"{where}: 'path' must be a string, got {obj['path']!r}")
-            entries.append(obj)
+            label = obj.get("label")
+            if label is not None and (isinstance(label, bool) or not isinstance(label, int)
+                                      or label < 0):
+                raise ValueError(f"{where}: label must be a non-negative integer or null, "
+                                 f"got {label!r}")
+            entries.append((where, obj))
     base = os.path.dirname(os.path.abspath(path))
     items = []
-    for obj in entries:
+    for where, obj in entries:
         cloud_path = obj["path"]
         if not os.path.isabs(cloud_path):
             cloud_path = os.path.join(base, cloud_path)
         coords = read_cloud(cloud_path)
         if normalization is not None:
-            coords = normalize_cloud(coords, rng=rng, **normalization)
+            try:
+                coords = normalize_cloud(coords, rng=rng, **normalization)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {cloud_path}: {exc}") from exc
         items.append(PointCloud(coords=coords, label=obj.get("label")))
     return Dataset(items=items, name=os.path.basename(path))
 

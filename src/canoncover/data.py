@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import canon as _canon
+from .choices import CANON_CHOICES
 
 __all__ = [
     "PointCloud",
@@ -136,9 +137,6 @@ def synthetic_split(n_train: int, n_test: int, clusters: int, d: int, n_points: 
     train = Dataset(items=both.items[:n_train], name="train")
     test = Dataset(items=both.items[n_train:], name="test")
     return train, test
-
-
-CANON_CHOICES = ("sort", "lexsort", "hilbert:<m>", "centralize", "pca-skew")
 
 
 def _hilbert_order(name: str) -> int | None:

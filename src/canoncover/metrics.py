@@ -46,6 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .canon import _as_cloud, canon_centralize, iter_sign_orbit
+from .choices import METRIC_CHOICES
 
 __all__ = [
     "InternalConsistencyError",
@@ -358,8 +359,6 @@ _REGISTRY: dict[str, Callable] = {
     "sign:frobenius": lambda X, Y: sign_quotient(X, Y, base="frobenius"),
     "sign:mean-euclidean": lambda X, Y: sign_quotient(X, Y, base="mean-euclidean"),
 }
-
-METRIC_CHOICES = tuple(sorted(_REGISTRY))
 
 
 def _sorted_marginal_gaps(X, B) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, canon, hilbert, metrics
+from .choices import SUITE_NAMES
 from .coverage import (coverage as coverage_of, exact_cover_number,
                        greedy_net, two_ball_set)
 from .data import canonize_dataset, synthetic_split
@@ -509,8 +510,6 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("quotient below hypercube", _check_quotient_below_hypercube),
     ],
 }
-
-SUITE_NAMES = tuple(list(SUITES) + ["all"])
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:

@@ -16,6 +16,7 @@ from canoncover.cli import main
 from canoncover.cloudio import format_number, read_cloud, write_cloud, write_manifest
 from canoncover.data import apply_canon
 from canoncover.metrics import parse_metric
+from conftest import run_python
 
 
 def _write(tmp_path, name, coords):
@@ -252,6 +253,18 @@ class TestCoverage:
             captured = capsys.readouterr()
             assert captured.err == "error: test set is empty\n"
             assert captured.out == ""
+
+    @pytest.mark.parametrize("label", ["[1, 2]", '"x"', "2.5", "true"])
+    def test_bad_manifest_label_exits_1(self, tmp_path, capsys, label):
+        train, test = _make_manifests(tmp_path)
+        with open(train, "a", encoding="utf-8") as fh:
+            fh.write('{"path": "c0.csv", "label": %s}\n' % label)
+        assert main(["coverage", "--train", train, "--test", test,
+                     "--metric", "inf", "--same-label"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {train}:7: label must be a non-negative "
+                                f"integer or null, got {json.loads(label)!r}\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("metric", ["perm-sum", "perm-bottleneck"])
     def test_mixed_shape_manifests_exit_1(self, tmp_path, capsys, metric):
@@ -532,8 +545,45 @@ assert canoncover.cli.main(["dist", a, b, "--metric", "perm-sum"]) == 0
 assert "scipy.optimize" in sys.modules and "scipy.spatial.distance" in sys.modules
 """
 
+# `bounds` in every format and every `--help` load neither numpy nor scipy;
+# the first numpy job (`canonize`) then loads numpy.
+_NUMPY_PROBE = """
+import contextlib
+import io
+import sys
+
+import canoncover
+import canoncover.cli
+
+work = sys.argv[1]
+assert canoncover.SUITE_NAMES[-1] == "all" and canoncover.bounds_table
+with contextlib.redirect_stdout(io.StringIO()):
+    for fmt in ("text", "csv", "json"):
+        assert canoncover.cli.main(["bounds", "--n", "10,20", "--format", fmt]) == 0
+    for command in ([], ["canonize"], ["dist"], ["coverage"], ["bounds"], ["gen"], ["verify"]):
+        try:
+            canoncover.cli.main([*command, "--help"])
+        except SystemExit as exc:
+            assert exc.code == 0, command
+        else:
+            raise AssertionError(command)
+loaded = [m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")]
+assert not loaded, loaded[:5]
+with open(work + "/a.csv", "w", encoding="utf-8") as fh:
+    fh.write("0.5,0.25\\n0.75,0.125\\n")
+assert canoncover.cli.main(["canonize", work + "/a.csv", work + "/b.csv",
+                            "--method", "hilbert:4"]) == 0
+assert "numpy" in sys.modules
+"""
+
 
 class TestImports:
+    def test_bounds_and_help_never_load_numpy(self, tmp_path):
+        proc = run_python(_NUMPY_PROBE, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout == f"wrote {tmp_path}/b.csv and {tmp_path}/b.csv.group.json\n"
+
     def test_scipy_loads_only_for_permutation_quotients(self, tmp_path):
         from scipy.optimize import linear_sum_assignment
         from scipy.spatial.distance import cdist
@@ -541,11 +591,7 @@ class TestImports:
         rng = np.random.default_rng(11)
         a = _write(tmp_path, "a.csv", rng.random((2, 7)))
         b = _write(tmp_path, "b.csv", rng.random((2, 7)))
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(canoncover.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, a, b, str(tmp_path)],
-                              capture_output=True, text=True, env=env)
+        proc = run_python(_IMPORT_PROBE, a, b, str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         cost = cdist(read_cloud(a).T, read_cloud(b).T)

@@ -481,7 +481,29 @@ class TestManifest:
          "shift_positive must be true or false, got 'no'"),
         ('{"normalization": {"divide_max_axis": 0}}',
          "divide_max_axis must be true or false, got 0"),
+        ('{"normalization": {"sampel_n": 3, "shift_positve": false}}',
+         "unknown normalization key 'sampel_n'; "
+         "allowed: sample_n, shift_positive, divide_max_axis"),
+        ('{"normalization": {"sample_n": 2, "scale": true}}',
+         "unknown normalization key 'scale'; "
+         "allowed: sample_n, shift_positive, divide_max_axis"),
         ('{"path": 5}', "'path' must be a string, got 5"),
+        ('{"path": "c0.csv", "label": [1, 2]}',
+         "label must be a non-negative integer or null, got [1, 2]"),
+        ('{"path": "c0.csv", "label": {"id": 1}}',
+         "label must be a non-negative integer or null, got {'id': 1}"),
+        ('{"path": "c0.csv", "label": "x"}',
+         "label must be a non-negative integer or null, got 'x'"),
+        ('{"path": "c0.csv", "label": "1"}',
+         "label must be a non-negative integer or null, got '1'"),
+        ('{"path": "c0.csv", "label": 2.5}',
+         "label must be a non-negative integer or null, got 2.5"),
+        ('{"path": "c0.csv", "label": 2.0}',
+         "label must be a non-negative integer or null, got 2.0"),
+        ('{"path": "c0.csv", "label": true}',
+         "label must be a non-negative integer or null, got True"),
+        ('{"path": "c0.csv", "label": -1}',
+         "label must be a non-negative integer or null, got -1"),
         ('[{"path": "c0.csv"}]', "expected a JSON object, got list"),
     ])
     def test_malformed_line_rejected(self, tmp_path, line, message):
@@ -491,6 +513,24 @@ class TestManifest:
         with pytest.raises(ValueError) as exc:
             read_manifest(manifest, rng=np.random.default_rng(0))
         assert str(exc.value) == f"{manifest}:2: {message}"
+
+    @pytest.mark.parametrize("label, expect", [("", None), (', "label": null', None),
+                                               (', "label": 0', 0), (', "label": 7', 7)])
+    def test_valid_labels_load(self, tmp_path, label, expect):
+        write_cloud(tmp_path / "c0.csv", np.arange(6, dtype=float).reshape(2, 3))
+        manifest = tmp_path / "set.jsonl"
+        manifest.write_text('{"path": "c0.csv"%s}\n' % label)
+        assert read_manifest(manifest).labels == [expect]
+
+    def test_sample_n_above_point_count_names_manifest_and_cloud(self, tmp_path):
+        write_cloud(tmp_path / "c0.csv", np.arange(6, dtype=float).reshape(2, 3))
+        manifest = tmp_path / "set.jsonl"
+        manifest.write_text('{"normalization": {"sample_n": 9}}\n'
+                            '{"path": "c0.csv", "label": 0}\n')
+        with pytest.raises(ValueError) as exc:
+            read_manifest(manifest, rng=np.random.default_rng(0))
+        assert str(exc.value) == (f"{manifest}:2: {tmp_path / 'c0.csv'}: "
+                                  "sample_n = 9 exceeds available points (3)")
 
     @pytest.mark.parametrize("options", ["null", "{}"])
     def test_empty_normalization_applies_defaults(self, tmp_path, options):
