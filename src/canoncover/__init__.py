@@ -7,6 +7,12 @@ submodules, and a public name imports the submodule that defines it on
 first access. So `canoncover bounds`, which is integer arithmetic, never
 loads numpy. `from canoncover import X`, `from canoncover import *` and
 `canoncover.<submodule>` give the same objects as eager imports would.
+
+`canoncover.coverage` is the function `coverage`, not the submodule of the
+same name, in every import order. So `import canoncover.coverage as cov`
+also binds the function: `import a.b as c` reads the package attribute
+`b`. Reach the module with `from canoncover.coverage import greedy_net`
+(or any of its names) or `sys.modules["canoncover.coverage"]`.
 """
 
 import importlib

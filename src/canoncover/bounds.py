@@ -6,12 +6,24 @@ reach beyond 10^2862), and its float log10 is read from that integer:
 A float that rounds onto a whole number is then settled on the side of
 it that the integer is on, so its floor counts the digits.
 
-Magnitudes are printed from the exact integer with integer arithmetic
-alone: the digit count comes from the bit length and one power-of-ten
-comparison, and the two-figure mantissa from one divmod by a power of
-ten, rounded half to even. Decimal(int) and str(int) are quadratic in
-the digit count and took about a minute on the million-digit values
-of `bounds --n 1000000`.
+Magnitudes are printed from the exact integer. The exact path uses
+integer arithmetic alone: the digit count comes from the bit length and
+one power-of-ten comparison, and the two-figure mantissa from one divmod
+by a power of ten, rounded half to even. Decimal(int) and str(int) are
+quadratic in the digit count and took about a minute on the
+million-digit values of `bounds --n 1000000`.
+
+Building that power of ten costs about as much as a full big-integer
+multiplication, so integers of at least 4096 bits first try a fast
+path: L = math.log10(x), digit count floor(L) + 1, and the two leading
+digits round(10 ** (L - floor(L) + 1)). CPython takes the log10 of an
+int from its correctly rounded 53-bit mantissa plus e * log10(2), which
+is within about 3e-9 of the truth while L < 1e7. The fast path declines,
+and the exact path answers, whenever that error could matter: L within
+1e-6 of an integer (a digit-count edge), 10 ** (frac + 1) within 1e-4
+of a half-integer (a rounding edge, exact halves included), or
+L >= 1e7. Both margins are over 100 times that error, so the two paths
+print the same bytes.
 
 epsilon is handled as an exact rational throughout: with float
 arithmetic, 1/(2 * float(1/6)) lands at 3.0000000000000004 and its
@@ -22,8 +34,10 @@ fraction; strings like "1/6" are parsed exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+from .choices import DEFAULT_TABLE_M
 
 __all__ = [
     "LogValue",
@@ -45,15 +59,14 @@ __all__ = [
     "digit_count",
 ]
 
-# Grid order used for the Hilbert column of the reference table
-# (tests freeze the resulting magnitudes); pass m=None for the
+# DEFAULT_TABLE_M, the grid order of the reference table's Hilbert
+# column (tests freeze the resulting magnitudes), lives in `choices` so
+# the CLI parser reads it without this module; pass m=None for the
 # limit-order variant.
-DEFAULT_TABLE_M = 10
 DEFAULT_TABLE_N = (250, 500, 750, 1000, 2000)
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(NamedTuple):
     """A bound magnitude: float log10 plus the exact integer when available."""
 
     log10: float
@@ -214,8 +227,7 @@ def generalization_rhs(c_ell: float, c_h: float, c_f: float, eps: float,
 TABLE_FORMULAS = ("quotient-upper", "hilbert-upper", "lexsort-lower", "hypercube-exact")
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     formula: str
     n: int
     value: LogValue
@@ -253,8 +265,6 @@ def _digits(x: int) -> tuple[int, int]:
     down, so the estimate is exact integer arithmetic (valid for
     b < 7e19), not a float product.
     """
-    if x <= 0:
-        raise ValueError("digit count needs a positive integer")
     lo = (x.bit_length() - 1) * 30102999566398119521 // 10 ** 20 + 1
     power = 10 ** lo
     if x >= power:
@@ -262,38 +272,89 @@ def _digits(x: int) -> tuple[int, int]:
     return lo, power // 10
 
 
+# The fast path's reach and margins (see the module docstring): integers
+# below _FAST_BITS bits, or with log10 at or past _FAST_LOG10_LIMIT, take
+# the exact path, and so does any log10 reading within _EDGE_MARGIN of a
+# digit-count edge or _HALF_MARGIN of a rounding edge.
+_FAST_BITS = 4096
+_FAST_LOG10_LIMIT = 1e7
+_EDGE_MARGIN = 1e-6
+_HALF_MARGIN = 1e-4
+
+
+def _fast_log10(x: int) -> float | None:
+    """math.log10(x) for a positive x of at least _FAST_BITS bits whose
+    floor is certain to be floor(log10 x); None where it is not."""
+    if x.bit_length() < _FAST_BITS:
+        return None
+    log10 = math.log10(x)
+    frac = log10 - math.floor(log10)
+    if log10 >= _FAST_LOG10_LIMIT or not _EDGE_MARGIN < frac < 1 - _EDGE_MARGIN:
+        return None
+    return log10
+
+
+def _lead_fast(x: int) -> tuple[int, int] | None:
+    """(lead, exponent) of `_lead_exact` read from math.log10(x), or None
+    where the reading is too close to an edge to be certain."""
+    log10 = _fast_log10(x)
+    if log10 is None:
+        return None
+    exponent = math.floor(log10)
+    scaled = 10.0 ** (log10 - exponent + 1)
+    if abs(scaled - math.floor(scaled) - 0.5) < _HALF_MARGIN:
+        return None
+    return round(scaled), exponent
+
+
+def _lead_exact(x: int) -> tuple[int, int]:
+    """Two leading digits of a positive x, rounded half to even, and the
+    exponent D - 1 of its D digits: x is about lead * 10**(exponent - 1).
+    lead lies in 10..100; 100 is a carry into the next power of ten."""
+    digits, power = _digits(x)
+    if digits == 1:
+        return 10 * x, 0
+    unit = power // 10
+    lead, rest = divmod(x, unit)
+    if 2 * rest > unit or (2 * rest == unit and lead % 2):
+        lead += 1
+    return lead, digits - 1
+
+
 def digit_count(x: int) -> int:
     """Decimal digits of a positive integer.
 
-    From the bit length and one power-of-ten comparison, so it works
-    past the interpreter's int-to-str cap (near 4300 digits); these
+    From math.log10 where the fast path is certain of its floor, and
+    otherwise from the bit length and one power-of-ten comparison, so it
+    works past the interpreter's int-to-str cap (near 4300 digits); these
     values reach 10^2862 and beyond.
     """
-    return _digits(x)[0]
+    if x <= 0:
+        raise ValueError("digit count needs a positive integer")
+    log10 = _fast_log10(x)
+    if log10 is None:
+        return _digits(x)[0]
+    return math.floor(log10) + 1
 
 
 def mantissa_exponent(value: LogValue) -> tuple[float, int]:
     """Two-significant-figure mantissa and exact exponent.
 
-    Uses the exact integer when present: one divmod by 10**(D - 2) gives
-    the two leading digits and the remainder, rounded half to even as
-    f"{Decimal(x):.1E}" does under the default context, but independent
-    of the caller's decimal context. Falls back to the log10 field
-    otherwise.
+    Uses the exact integer when present: its two leading digits, rounded
+    half to even as f"{Decimal(x):.1E}" does under the default context,
+    but independent of the caller's decimal context. Integers of at least
+    4096 bits read them from math.log10 unless the reading lies near a
+    digit-count or rounding edge; every other case takes one divmod by
+    10**(D - 2) and its remainder. Falls back to the log10 field when
+    there is no exact integer.
     """
     if value.exact is not None:
         if value.exact <= 0:
             raise ValueError("mantissa/exponent form needs a positive value")
-        digits, power = _digits(value.exact)
-        if digits == 1:
-            return float(value.exact), 0
-        unit = power // 10
-        lead, rest = divmod(value.exact, unit)
-        if 2 * rest > unit or (2 * rest == unit and lead % 2):
-            lead += 1
+        lead, exponent = _lead_fast(value.exact) or _lead_exact(value.exact)
         if lead == 100:
-            return 1.0, digits
-        return lead / 10, digits - 1
+            return 1.0, exponent + 1
+        return lead / 10, exponent
     exponent = math.floor(value.log10)
     mant = round(10.0 ** (value.log10 - exponent), 1)
     if mant >= 10.0:

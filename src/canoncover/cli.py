@@ -7,12 +7,12 @@ rendered as two-significant-figure mantissa/exponent strings, with the
 exact integers included in JSON output when they stay at or below 4096
 digits. Identical inputs, seed, and flags produce byte-identical output.
 
-The parser reads its help and choices from `choices` and `bounds`, which
-import no numpy, and each subcommand imports what it runs inside its
-handler. So `bounds` and every `--help` never load numpy or scipy. The
-handlers look each name up on its defining module at call time, so a
-patch on that module (`canoncover.cloudio.read_cloud`, say) reaches the
-CLI.
+The parser reads its help, choices and defaults from `choices`, which
+imports nothing, and each subcommand imports what it runs inside its
+handler. So `bounds` and every `--help` never load numpy or scipy, and
+only `bounds` and `verify` load the bound calculators. The handlers look
+each name up on its defining module at call time, so a patch on that
+module (`canoncover.cloudio.read_cloud`, say) reaches the CLI.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import json
 import os
 import sys
 
-from . import bounds as bounds_mod
-from .choices import CANON_CHOICES, METRIC_CHOICES, SUITE_NAMES
+from .choices import CANON_CHOICES, DEFAULT_TABLE_M, METRIC_CHOICES, SUITE_NAMES
 
 # JSON carries a bound's exact integer only below this: at most 4096 digits.
 _EXACT_JSON_LIMIT = 10**4096
@@ -135,6 +134,8 @@ def _align_columns(rows) -> str:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
     except ValueError:
@@ -252,7 +253,7 @@ def build_parser() -> _Parser:
                    help="comma-separated point counts")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--eps", default="1/6", help="exact ratio, e.g. 1/6 or 0.25")
-    p.add_argument("--m", default=str(bounds_mod.DEFAULT_TABLE_M),
+    p.add_argument("--m", default=str(DEFAULT_TABLE_M),
                    help="grid order for the Hilbert column, or 'limit'")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.add_argument("--output", default=None)

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canoncover import bounds
 from canoncover.bounds import (
     DEFAULT_TABLE_M,
     DEFAULT_TABLE_N,
     TABLE_FORMULAS,
     LogValue,
+    TableEntry,
     as_exact_ratio,
     bound_group_cardinality,
     bound_hilbert_upper,
@@ -381,6 +383,107 @@ class TestFormattingAgainstDecimal:
             ctx.prec = 3
             assert sci_string(value) == "2.5e+53"
             assert digit_count(value.exact) == 54
+
+
+def _fast_matches_exact(xs, monkeypatch) -> int:
+    """Every x through the public formatters with the log10 fast path on,
+    then forced onto the exact path; returns how many x the fast path
+    answered itself."""
+    xs = list(xs)
+    fast = [(mantissa_exponent(LogValue(0.0, x, "x")), digit_count(x)) for x in xs]
+    taken = sum(bounds._lead_fast(x) is not None for x in xs)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_FAST_BITS", math.inf)
+        exact = [(mantissa_exponent(LogValue(0.0, x, "x")), digit_count(x)) for x in xs]
+        assert all(bounds._fast_log10(x) is None for x in xs)
+    for x, got, want in zip(xs, fast, exact):
+        assert got == want, (x.bit_length(), got, want)
+    return taken
+
+
+class TestLog10FastPath:
+    # 10**1234 is the first power of ten past 2**4096.
+    J = (1234, 1500, 4301, 30103)
+
+    def test_random_integers(self, monkeypatch):
+        rng = random.Random(20261019)
+        xs = [rng.getrandbits(rng.randint(4096, 300000)) | 1 << 4095 for _ in range(300)]
+        assert _fast_matches_exact(xs, monkeypatch) >= 0.99 * len(xs)
+
+    def test_powers_over_a_stride_of_exponents(self, monkeypatch):
+        xs = {}
+        for k in range(2, 13):
+            first = math.ceil(4096 / math.log2(k))
+            xs[k] = [k ** e for e in range(first, first + 100000 // k, 1999 // k)]
+        # Powers of ten sit on a digit-count edge: the exact path answers.
+        assert _fast_matches_exact(xs.pop(10), monkeypatch) == 0
+        others = [x for k in xs for x in xs[k]]
+        assert _fast_matches_exact(others, monkeypatch) >= 0.99 * len(others)
+
+    def test_edge_families(self, monkeypatch):
+        xs = []
+        for j in self.J:
+            p = 10 ** j
+            xs += [p - 1, p, p + 1, 995 * p - 1]
+            xs += [lead * p for lead in range(10, 100)]
+            xs += [(10 * lead + 5) * p // 10 + delta
+                   for lead in range(10, 100) for delta in (-1, 0, 1)]
+        _fast_matches_exact(xs, monkeypatch)
+
+    def test_declines_digit_count_and_rounding_edges(self):
+        for j in self.J:
+            p = 10 ** j
+            for x in (p - 1, p, p + 1):
+                assert bounds._fast_log10(x) is None and bounds._lead_fast(x) is None, j
+            for lead in range(10, 100):
+                assert bounds._lead_fast((10 * lead + 5) * p // 10) is None, (lead, j)
+                if lead > 10:
+                    assert bounds._lead_fast(lead * p) == (lead, j + 1), (lead, j)
+
+    def test_reach(self):
+        # Below 4096 bits, and at log10 >= 1e7, only the exact path answers.
+        assert bounds._fast_log10(3 << 4093) is None
+        assert bounds._fast_log10(3 << 4094) is not None
+        assert bounds._fast_log10(1 << 33_000_000) is not None
+        assert bounds._fast_log10(1 << 33_300_000) is None
+
+    def test_every_table_cell_at_large_n(self, monkeypatch):
+        xs = [e.value.exact for e in bounds_table(n_list=(2000, 10000, 50000))]
+        huge = sum(x.bit_length() >= 4096 for x in xs)
+        assert huge >= 6 and _fast_matches_exact(xs, monkeypatch) == huge
+
+
+class TestNamedTuples:
+    def test_keyword_and_positional_construction(self):
+        assert LogValue(2.5, 316, "q") == LogValue(log10=2.5, exact=316, formula="q")
+        value = LogValue(2.5, 316, "q")
+        assert (value.log10, value.exact, value.formula) == (2.5, 316, "q")
+        assert TableEntry("q", 3, value) == TableEntry(formula="q", n=3, value=value)
+
+    def test_repr(self):
+        value = LogValue(log10=2.5, exact=316, formula="quotient-upper")
+        assert repr(value) == "LogValue(log10=2.5, exact=316, formula='quotient-upper')"
+        assert repr(TableEntry(formula="hilbert-upper", n=250, value=value)) == (
+            "TableEntry(formula='hilbert-upper', n=250, "
+            "value=LogValue(log10=2.5, exact=316, formula='quotient-upper'))")
+
+    def test_equal_values_hash_equal(self):
+        a, b = LogValue(1.5, None, "x"), LogValue(log10=1.5, exact=None, formula="x")
+        assert a == b and hash(a) == hash(b)
+        assert a != LogValue(1.5, None, "y")
+        assert TableEntry("x", 1, a) == TableEntry("x", 1, b)
+        assert hash(TableEntry("x", 1, a)) == hash(TableEntry("x", 1, b))
+        assert len({a, b, TableEntry("x", 1, a), TableEntry("x", 1, b)}) == 2
+        # The one behaviour change from the frozen dataclasses.
+        assert a == (1.5, None, "x")
+
+    def test_fields_are_read_only(self):
+        value = LogValue(2.5, 316, "q")
+        for name in ("log10", "exact", "formula"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        with pytest.raises(AttributeError):
+            TableEntry("q", 3, value).n = 4
 
 
 @settings(max_examples=60, deadline=None)

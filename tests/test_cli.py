@@ -545,8 +545,9 @@ assert canoncover.cli.main(["dist", a, b, "--metric", "perm-sum"]) == 0
 assert "scipy.optimize" in sys.modules and "scipy.spatial.distance" in sys.modules
 """
 
-# `bounds` in every format and every `--help` load neither numpy nor scipy;
-# the first numpy job (`canonize`) then loads numpy.
+# `bounds` in every format and every `--help` load neither numpy nor scipy,
+# nor `dataclasses` or the `inspect` it imports; the first numpy job
+# (`canonize`) then loads numpy.
 _NUMPY_PROBE = """
 import contextlib
 import io
@@ -559,7 +560,7 @@ work = sys.argv[1]
 assert canoncover.SUITE_NAMES[-1] == "all" and canoncover.bounds_table
 with contextlib.redirect_stdout(io.StringIO()):
     for fmt in ("text", "csv", "json"):
-        assert canoncover.cli.main(["bounds", "--n", "10,20", "--format", fmt]) == 0
+        assert canoncover.cli.main(["bounds", "--n", "10,2000", "--format", fmt]) == 0
     for command in ([], ["canonize"], ["dist"], ["coverage"], ["bounds"], ["gen"], ["verify"]):
         try:
             canoncover.cli.main([*command, "--help"])
@@ -567,13 +568,34 @@ with contextlib.redirect_stdout(io.StringIO()):
             assert exc.code == 0, command
         else:
             raise AssertionError(command)
-loaded = [m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")]
+loaded = [m for m in sys.modules
+          if m.partition(".")[0] in ("numpy", "scipy", "dataclasses", "inspect")]
 assert not loaded, loaded[:5]
 with open(work + "/a.csv", "w", encoding="utf-8") as fh:
     fh.write("0.5,0.25\\n0.75,0.125\\n")
 assert canoncover.cli.main(["canonize", work + "/a.csv", work + "/b.csv",
                             "--method", "hilbert:4"]) == 0
 assert "numpy" in sys.modules
+"""
+
+# Only `bounds` (and `verify`, which checks the bounds) loads the bound
+# calculators.
+_NO_BOUNDS_PROBE = """
+import sys
+
+import canoncover.cli
+
+work = sys.argv[1]
+assert canoncover.cli.main(["canonize", work + "/a.csv", work + "/b.csv",
+                            "--method", "hilbert:4"]) == 0
+assert "canoncover.bounds" not in sys.modules
+assert canoncover.cli.main(["gen", "--clusters", "2", "--per-cluster", "2", "--d", "2",
+                            "--n", "4", "--out", work + "/set.jsonl"]) == 0
+assert canoncover.cli.main(["dist", work + "/a.csv", work + "/b.csv", "--metric", "inf"]) == 0
+assert canoncover.cli.main(["coverage", "--train", work + "/set.jsonl", "--test",
+                            work + "/set.jsonl", "--metric", "inf",
+                            "--output", work + "/report.json"]) == 0
+assert "canoncover.bounds" not in sys.modules
 """
 
 
@@ -583,6 +605,12 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout == f"wrote {tmp_path}/b.csv and {tmp_path}/b.csv.group.json\n"
+
+    def test_only_bounds_loads_the_bound_calculators(self, tmp_path):
+        _write(tmp_path, "a.csv", np.array([[0.5, 0.75], [0.25, 0.125]]))
+        proc = run_python(_NO_BOUNDS_PROBE, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_scipy_loads_only_for_permutation_quotients(self, tmp_path):
         from scipy.optimize import linear_sum_assignment

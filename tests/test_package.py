@@ -3,12 +3,13 @@
 import importlib
 import pkgutil
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import canoncover
-from canoncover import choices, data, metrics, verify
+from canoncover import bounds, choices, cli, data, metrics, verify
 from conftest import run_python
 
 SUBMODULES = [importlib.import_module(f"canoncover.{m.name}")
@@ -80,6 +81,23 @@ def test_coverage_is_the_function_in_every_import_order(order, tmp_path):
     proc = run_python("import sys\n" + _ORDERS[order] + _CHECK, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "ok"
+
+
+def test_coverage_module_is_reached_by_from_import_and_sys_modules():
+    from canoncover.coverage import greedy_net
+
+    module = sys.modules["canoncover.coverage"]
+    assert isinstance(module, types.ModuleType)
+    assert greedy_net is module.greedy_net
+    # As documented: `import a.b as c` reads the package attribute `b`,
+    # which is the function `coverage`, not the submodule.
+    import canoncover.coverage as cov
+    assert cov is module.coverage and not hasattr(cov, "greedy_net")
+
+
+def test_default_table_m_is_one_object():
+    assert bounds.DEFAULT_TABLE_M is choices.DEFAULT_TABLE_M
+    assert cli.build_parser().parse_args(["bounds"]).m == str(choices.DEFAULT_TABLE_M)
 
 
 def test_metric_choices_are_the_registry():
