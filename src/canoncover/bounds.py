@@ -1,17 +1,30 @@
 """Exact covering-number bound calculators and the generalization-bound RHS.
 
-Every bound is computed as an exact arbitrary-precision integer (values
-reach beyond 10^2862), and its float log10 is read from that integer:
-`math.log10` takes an int of any size in time linear in its digits.
-A float that rounds onto a whole number is then settled on the side of
-it that the integer is on, so its floor counts the digits.
+Every bound is an exact arbitrary-precision integer (values reach beyond
+10^2862), carried in a `LogValue` with its float log10. The log10 is
+`math.log10` of that integer, and a float that rounds onto a whole
+number is settled on the side of it that the integer is on, so its
+floor counts the digits.
 
-Magnitudes are printed from the exact integer. The exact path uses
-integer arithmetic alone: the digit count comes from the bit length and
-one power-of-ten comparison, and the two-figure mantissa from one divmod
-by a power of ten, rounded half to even. Decimal(int) and str(int) are
-quadratic in the digit count and took about a minute on the
-million-digit values of `bounds --n 1000000`.
+The lexsort and hypercube bounds are powers k^e. Once k^e has at least
+4096 bits it is not built: `_power_bounds` powers k by repeated
+squaring on a lower and an upper integer bound, each truncated to about
+128 bits (or 40 digits) plus the bit length of e, with the shift
+tracked exactly. In base 2, both bounds rounding to the same 53-bit
+float M certifies that k^e rounds to M * 2^s, and math.log10(M << s)
+then runs CPython's own int-log code, so the log10 is bit-identical to
+math.log10(k ** e). In base 10, both bounds having the same two leading
+digits (rounded half to even, 100 being a carry) and digit count
+certifies those of k^e. Wherever the two bounds round differently, the
+power is built after all. A certified value's `exact` builds k**e on
+its first read and keeps it; the printed magnitudes, the floor settle
+and the CLI's JSON digit cutoff never read it.
+
+Magnitudes of built integers use integer arithmetic alone: the digit
+count comes from the bit length and one power-of-ten comparison, and
+the two-figure mantissa from one divmod by a power of ten, rounded half
+to even. Decimal(int) and str(int) are quadratic in the digit count and
+took about a minute on the million-digit values of `bounds --n 1000000`.
 
 Building that power of ten costs about as much as a full big-integer
 multiplication, so integers of at least 4096 bits first try a fast
@@ -66,12 +79,81 @@ __all__ = [
 DEFAULT_TABLE_N = (250, 500, 750, 1000, 2000)
 
 
-class LogValue(NamedTuple):
-    """A bound magnitude: float log10 plus the exact integer when available."""
+class LogValue:
+    """A bound magnitude: float log10 plus the exact integer when available.
 
-    log10: float
-    exact: int | None
-    formula: str
+    A read-only triple (log10, exact, formula): it unpacks, indexes, has
+    length 3, and compares and hashes equal to the plain tuple. A
+    certified power holds its base and exponent instead of the integer,
+    and `exact` builds the integer on its first read and keeps it.
+    """
+
+    __slots__ = ("log10", "formula", "_exact", "_power", "_lead")
+    __match_args__ = ("log10", "exact", "formula")
+
+    def __init__(self, log10: float, exact: int | None, formula: str):
+        setter = object.__setattr__
+        setter(self, "log10", log10)
+        setter(self, "formula", formula)
+        setter(self, "_exact", exact)
+        setter(self, "_power", None)  # (base, exponent) while exact is unbuilt
+        setter(self, "_lead", None)   # cached (lead, exponent) of the exact value
+
+    @property
+    def exact(self) -> int | None:
+        if self._power is not None:
+            base, exponent = self._power
+            object.__setattr__(self, "_exact", base ** exponent)
+            object.__setattr__(self, "_power", None)
+        return self._exact
+
+    @property
+    def digits(self) -> int | None:
+        """Decimal digits of the exact integer, found without building a
+        certified power; None when there is no exact integer."""
+        lead = self._lead_exponent()
+        return None if lead is None else lead[1] + 1
+
+    def _lead_exponent(self) -> tuple[int, int] | None:
+        """`_lead_exact` of the exact integer, cached; None without one."""
+        if self._lead is None and self._exact is not None:
+            x = self._exact
+            if x <= 0:
+                raise ValueError("mantissa/exponent form needs a positive value")
+            object.__setattr__(self, "_lead", _lead_fast(x) or _lead_exact(x))
+        return self._lead
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: LogValue is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: LogValue is read-only")
+
+    def __iter__(self):
+        return iter((self.log10, self.exact, self.formula))
+
+    def __len__(self) -> int:
+        return 3
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, LogValue):
+            other = tuple(other)
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return (f"LogValue(log10={self.log10!r}, exact={self.exact!r}, "
+                f"formula={self.formula!r})")
+
+    def __reduce__(self):
+        return LogValue, tuple(self)
 
 
 def as_exact_ratio(eps) -> Fraction:
@@ -114,19 +196,86 @@ def _half_integer_k(eps: Fraction, context: str) -> int:
     return inv.numerator // 2
 
 
-def _logvalue(exact: int, formula: str) -> LogValue:
-    """Pair an exact integer with its float log10. A float that lands within
-    rounding of an integer k is settled on the side of k that `exact` is
-    on (math.log10(10**16 - 1) rounds to 16.0), so its floor always
-    counts the digits."""
-    log10 = math.log10(exact)
+def _settle(log10: float, digits) -> float:
+    """A log10 reading that lands within rounding of an integer k, settled
+    on the side of k that the value is on (math.log10(10**16 - 1) rounds
+    to 16.0), so its floor always counts the digits. `digits()` gives
+    the value's digit count; it is called only near an integer."""
     k = round(log10)
-    if abs(log10 - k) <= 1e-9 and k >= 0:
-        if exact >= 10**k:
-            log10 = max(log10, float(k))
-        else:
-            log10 = min(log10, math.nextafter(float(k), -math.inf))
-    return LogValue(log10=log10, exact=exact, formula=formula)
+    if abs(log10 - k) > 1e-9 or k < 0:
+        return log10
+    if digits() > k:
+        return max(log10, float(k))
+    return min(log10, math.nextafter(float(k), -math.inf))
+
+
+def _logvalue(exact: int, formula: str) -> LogValue:
+    """Pair an exact integer with its settled float log10."""
+    return LogValue(_settle(math.log10(exact), lambda: _digits(exact)[0]), exact, formula)
+
+
+# Guard bits of `_power_bounds`: each bound keeps this many bits plus the
+# bit length of the exponent, so the relative gap between the bounds
+# stays near 2**-_GUARD_BITS however large the exponent.
+_GUARD_BITS = 128
+
+
+def _power_bounds(k: int, e: int, radix: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo * radix**shift <= k**e <= hi * radix**shift.
+
+    Left-to-right binary powering on both bounds at once. Whenever hi
+    outgrows the kept bits, both are divided by the same power of the
+    radix, lo rounded down and hi rounded up (the + 1), and the shift
+    counts the divisions. hi stays at or above 2**(keep - 1), so each
+    step widens the relative gap by at most 2**(2 - keep), and each
+    squaring doubles it: after the log2(e) steps it stays below
+    2**(3 - _GUARD_BITS).
+    """
+    keep = _GUARD_BITS + e.bit_length()
+    lo = hi = 1
+    shift = 0
+    for bit in bin(e)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if bit == "1":
+            lo, hi = lo * k, hi * k
+        excess = hi.bit_length() - keep
+        # 10**t <= 2**excess for t = 3 * excess // 10, as log2(10) > 10/3.
+        t = excess if radix == 2 else 3 * excess // 10
+        if t > 0:
+            unit = radix**t
+            lo, hi, shift = lo // unit, hi // unit + 1, shift + t
+    return lo, hi, shift
+
+
+def _certified_power(k: int, e: int) -> tuple[float, tuple[int, int]] | None:
+    """Settled log10 and `_lead_exact` of k**e, certified without building
+    it, for k**e of at least _FAST_BITS bits; None where the bounds of
+    `_power_bounds` round apart, or the power may be smaller."""
+    lo, hi, shift = _power_bounds(k, e, 2)
+    mantissa = float(lo)  # correctly rounded, as math.log10 rounds an int
+    if lo.bit_length() + shift < _FAST_BITS or float(hi) != mantissa:
+        return None
+    rounded = int(mantissa) << shift
+    lo, hi, shift = _power_bounds(k, e, 10)
+    lead, exponent = _lead_exact(lo)
+    if _lead_exact(hi) != (lead, exponent):
+        return None
+    exponent += shift
+    return _settle(math.log10(rounded), lambda: exponent + 1), (lead, exponent)
+
+
+def _power_value(k: int, e: int, formula: str) -> LogValue:
+    """k**e as a LogValue: certified and unbuilt from _FAST_BITS bits on,
+    built exactly below that or where certification fails."""
+    if e * k.bit_length() >= _FAST_BITS:
+        certified = _certified_power(k, e)
+        if certified is not None:
+            log10, lead = certified
+            value = LogValue(log10, None, formula)
+            object.__setattr__(value, "_power", (k, e))
+            object.__setattr__(value, "_lead", lead)
+            return value
+    return _logvalue(k**e, formula)
 
 
 def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
@@ -146,7 +295,7 @@ def bound_lexsort_lower(n: int, d: int, eps) -> LogValue:
         raise ValueError("the lexsort lower bound needs n >= 2 and d >= 2")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     k = _half_integer_k(eps, "the lexsort lower bound")
-    return _logvalue(k ** ((d - 1) * n + 1), "lexsort-lower")
+    return _power_value(k, (d - 1) * n + 1, "lexsort-lower")
 
 
 def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
@@ -180,7 +329,7 @@ def bound_hypercube_exact(n: int, d: int, eps) -> LogValue:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     k = _half_integer_k(eps, "the hypercube covering number")
-    return _logvalue(k ** (n * d), "hypercube-exact")
+    return _power_value(k, n * d, "hypercube-exact")
 
 
 def bound_group_cardinality(quotient: LogValue, group_size: int) -> LogValue:
@@ -342,16 +491,16 @@ def mantissa_exponent(value: LogValue) -> tuple[float, int]:
 
     Uses the exact integer when present: its two leading digits, rounded
     half to even as f"{Decimal(x):.1E}" does under the default context,
-    but independent of the caller's decimal context. Integers of at least
-    4096 bits read them from math.log10 unless the reading lies near a
-    digit-count or rounding edge; every other case takes one divmod by
-    10**(D - 2) and its remainder. Falls back to the log10 field when
-    there is no exact integer.
+    but independent of the caller's decimal context. A certified power
+    carries them unbuilt. A built integer of at least 4096 bits reads
+    them from math.log10 unless the reading lies near a digit-count or
+    rounding edge; every other case takes one divmod by 10**(D - 2) and
+    its remainder. Falls back to the log10 field when there is no exact
+    integer.
     """
-    if value.exact is not None:
-        if value.exact <= 0:
-            raise ValueError("mantissa/exponent form needs a positive value")
-        lead, exponent = _lead_fast(value.exact) or _lead_exact(value.exact)
+    lead = value._lead_exponent()
+    if lead is not None:
+        lead, exponent = lead
         if lead == 100:
             return 1.0, exponent + 1
         return lead / 10, exponent

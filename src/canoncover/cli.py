@@ -25,8 +25,8 @@ import sys
 
 from .choices import CANON_CHOICES, DEFAULT_TABLE_M, METRIC_CHOICES, SUITE_NAMES
 
-# JSON carries a bound's exact integer only below this: at most 4096 digits.
-_EXACT_JSON_LIMIT = 10**4096
+# JSON carries a bound's exact integer only up to this many digits.
+_EXACT_JSON_DIGITS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,7 +167,8 @@ def _cmd_bounds(args) -> int:
                 "log10": e.value.log10,
                 "value": bounds_mod.sci_string(e.value),
             }
-            if e.value.exact is not None and e.value.exact < _EXACT_JSON_LIMIT:
+            digits = e.value.digits
+            if digits is not None and digits <= _EXACT_JSON_DIGITS:
                 item["exact"] = e.value.exact
             items.append(item)
         _emit(json.dumps(items, sort_keys=True, indent=2), args.output)

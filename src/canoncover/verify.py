@@ -454,6 +454,28 @@ def _check_exact_log_consistency(rng):
         assert abs(v.log10 - reference) <= 1e-9, entry
 
 
+def _check_certified_powers(rng):
+    # Powers of at least 4096 bits are certified without being built.
+    # Building each one afterwards must give the same log10, digit count
+    # and two leading digits as the exact path reads from the integer.
+    certified = huge = 0
+    for k in (2, 3, 5, 10, 50):
+        eps = bounds.as_exact_ratio(f"1/{2 * k}")
+        for n in bounds.DEFAULT_TABLE_N + (50000,):
+            for value in (bounds.bound_lexsort_lower(n, 3, eps),
+                          bounds.bound_hypercube_exact(n, 3, eps)):
+                key = (value.formula, k, n)
+                certified += value._power is not None
+                x = value.exact
+                huge += x.bit_length() >= bounds._FAST_BITS
+                lead, exponent = bounds._lead_exact(x)
+                assert value.log10 == bounds._logvalue(x, value.formula).log10, key
+                assert value.digits == exponent + 1, key
+                expected = (1.0, exponent + 1) if lead == 100 else (lead / 10, exponent)
+                assert bounds.mantissa_exponent(value) == expected, key
+    assert certified == huge, (certified, huge)
+
+
 def _check_quotient_below_hypercube(rng):
     for n in (2, 10, 100):
         for k in (1, 2, 3, 5):
@@ -508,6 +530,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("multiset count brute force", _check_multiset_brute),
         ("exact/log consistency", _check_exact_log_consistency),
         ("quotient below hypercube", _check_quotient_below_hypercube),
+        ("certified power magnitudes match the exact integer", _check_certified_powers),
     ],
 }
 

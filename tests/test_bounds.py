@@ -1,6 +1,8 @@
 """Covering-number bound calculators and the reference table."""
 
+import copy
 import math
+import pickle
 import random
 from decimal import ROUND_UP, Decimal, localcontext
 from fractions import Fraction
@@ -451,6 +453,160 @@ class TestLog10FastPath:
         xs = [e.value.exact for e in bounds_table(n_list=(2000, 10000, 50000))]
         huge = sum(x.bit_length() >= 4096 for x in xs)
         assert huge >= 6 and _fast_matches_exact(xs, monkeypatch) == huge
+
+
+def _threshold(k: int) -> int:
+    """The smallest e with k**e of at least 4096 bits."""
+    e = math.floor(4095 / math.log2(k))
+    while (k ** e).bit_length() >= 4096:
+        e -= 1
+    while (k ** e).bit_length() < 4096:
+        e += 1
+    return e
+
+
+def _magnitudes(value: LogValue) -> tuple:
+    return value.log10, value.digits, mantissa_exponent(value)
+
+
+def _certified_matches_exact(pairs, monkeypatch) -> list[bool]:
+    """Each k**e through `_power_value` as it runs, then with the certified
+    path and the log10 fast path off; returns which ones the certified
+    path answered without building the power."""
+    pairs = list(pairs)
+    values = [bounds._power_value(k, e, "x") for k, e in pairs]
+    lazy = [v._power is not None for v in values]
+    got = [_magnitudes(v) for v in values]
+    assert [v._power is not None for v in values] == lazy  # nothing built
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_FAST_BITS", math.inf)
+        for (k, e), want in zip(pairs, got):
+            exact = bounds._power_value(k, e, "x")
+            assert exact._power is None and exact.exact == k ** e
+            assert _magnitudes(exact) == want, (k, e)
+    return lazy
+
+
+class TestCertifiedPowers:
+    def test_from_the_threshold_to_large_exponents(self, monkeypatch):
+        # One exponent per k drawn log-uniformly up to 3e4, and a few at
+        # 3e5, which keeps the exact builds of the reference to seconds.
+        rng = random.Random(20261020)
+        pairs = [(k, 300000) for k in (3, 77, 12345)]
+        for k in [*range(2, 101), 1000, 12345]:
+            first = _threshold(k)
+            pairs += [(k, first - 1), (k, first), (k, first + 1),
+                      (k, round(first * (30000 / first) ** rng.random()))]
+        lazy = _certified_matches_exact(pairs, monkeypatch)
+        # Exactly the powers of at least 4096 bits are certified unbuilt.
+        assert lazy == [(k ** e).bit_length() >= 4096 for k, e in pairs]
+
+    def test_powers_of_two_and_ten(self, monkeypatch):
+        pairs = [(k, e) for k in (2, 4, 8, 10)
+                 for e in (_threshold(k), 10007, 65536, 300000)]
+        assert all(_certified_matches_exact(pairs, monkeypatch))
+        value = bounds._power_value(10, 300000, "x")
+        assert value.digits == 300001 and mantissa_exponent(value) == (1.0, 300000)
+
+    def test_unit_base(self):
+        # eps = 1/2 gives k = 1: the power is 1 however large the exponent.
+        for value in (bound_hypercube_exact(5000, 3, Fraction(1, 2)),
+                      bound_lexsort_lower(5000, 3, Fraction(1, 2)),
+                      bounds._power_value(1, 10 ** 6, "x")):
+            assert value == (0.0, 1, value.formula) and sci_string(value) == "1.0e+0"
+
+    def test_small_powers_through_the_certified_path(self, monkeypatch):
+        # With the threshold at one bit every power takes the certified
+        # path, untruncated ones and the exact decimal half 50**3 = 125000
+        # included. Only exact ties of the 53-bit rounding fall back, as
+        # 24**34 = 3**34 << 102 with 3**34 of 54 bits, odd.
+        pairs = [(k, e) for k in range(2, 61) for e in range(1, 41)]
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_FAST_BITS", 1)
+            half = bounds._power_value(50, 3, "x")
+            assert half._power is not None and sci_string(half) == "1.2e+5"
+            lazy = _certified_matches_exact(pairs, patch)
+        assert [pair for pair, took in zip(pairs, lazy) if not took] == [(24, 34), (48, 34)]
+
+    def test_bounds_bracket_the_power(self):
+        for k in (2, 3, 7, 10, 12345):
+            for e in (1, 2, 5000, 77777):
+                x = k ** e
+                for radix in (2, 10):
+                    lo, hi, shift = bounds._power_bounds(k, e, radix)
+                    unit = radix ** shift
+                    assert lo * unit <= x <= hi * unit, (k, e, radix)
+                    assert (hi - lo) << 100 <= lo, (k, e, radix)
+
+    @pytest.mark.parametrize("slack", [(56, None), (None, 10), (56, 10)])
+    def test_loose_brackets_fall_back(self, monkeypatch, slack):
+        # A valid but looser bracket (relative width 2**-slack in base 2,
+        # base 10 or both) must still give the exact answer: where its
+        # bounds round apart, the power is built.
+        tight = bounds._power_bounds
+
+        def loose(k, e, radix):
+            lo, hi, shift = tight(k, e, radix)
+            bits = slack[radix == 10]
+            if bits is None:
+                return lo, hi, shift
+            return lo - (lo >> bits) - 1, hi + (hi >> bits) + 1, shift
+
+        pairs = [(k, e) for k in range(2, 41) for e in (9001, 12345, 40000)]
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_power_bounds", loose)
+            lazy = _certified_matches_exact(pairs, patch)
+        assert 0 < sum(lazy) < len(pairs)
+
+
+class TestLazyLogValue:
+    @staticmethod
+    def lazy() -> LogValue:
+        value = bounds._power_value(3, 9000, "hypercube-exact")
+        assert value._power is not None and value._exact is None
+        return value
+
+    def test_equals_and_hashes_as_the_built_value(self):
+        value = self.lazy()
+        built = LogValue(value.log10, 3 ** 9000, "hypercube-exact")
+        assert value == built and built == value and hash(value) == hash(built)
+        assert value == (value.log10, 3 ** 9000, "hypercube-exact")
+        assert hash(value) == hash((value.log10, 3 ** 9000, "hypercube-exact"))
+        assert value != LogValue(value.log10, 3 ** 9000 + 1, "hypercube-exact")
+
+    def test_exact_is_built_once(self):
+        value = self.lazy()
+        assert value.exact is value.exact
+        assert value.exact == 3 ** 9000 and value._power is None
+
+    def test_pickle_and_copy_round_trips(self):
+        for value in (LogValue(2.5, 316, "q"), LogValue(1.5, None, "x"), self.lazy()):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(value, protocol)) == value
+            assert copy.copy(value) == value and copy.deepcopy(value) == value
+            entry = TableEntry("x", 1, value)
+            assert pickle.loads(pickle.dumps(entry)) == entry == copy.deepcopy(entry)
+
+    def test_sequence_behaviour_and_read_only_fields(self):
+        value = self.lazy()
+        log10, exact, formula = value
+        assert len(value) == 3 and list(value) == [log10, exact, formula]
+        assert (value[0], value[1], value[-1]) == (log10, exact, formula)
+        assert value[:2] == (value.log10, value.exact)
+        for name in ("log10", "exact", "formula", "digits", "_exact", "_power"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+
+    def test_printing_builds_no_power(self):
+        entries = bounds_table(n_list=(50000,))
+        for entry in entries:
+            sci_string(entry.value)
+            assert entry.value.digits == math.floor(entry.value.log10) + 1
+        for entry in entries:
+            power = entry.formula in ("lexsort-lower", "hypercube-exact")
+            assert (entry.value._exact is None) == power, entry.formula
 
 
 class TestNamedTuples:

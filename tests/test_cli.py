@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -344,6 +345,47 @@ class TestBounds:
                 assert abs(math.log10(float(mantissa)) + int(exponent)
                            - item["log10"]) <= 0.05, item
         assert [i["value"] for i in items[:2]] == ["1.1e+17820", "2.1e+21994"]
+
+    @staticmethod
+    def _closed_form(formula: str, n: int, d: int, k: int) -> int:
+        """The four bounds at eps = 1/(2k) and grid order 10, from the
+        formulas themselves."""
+        if formula == "quotient-upper":
+            return math.comb(n + k ** d - 1, n)
+        if formula == "hilbert-upper":
+            delta = (Fraction(1, 2 * k) - Fraction(1, 2 ** 11)) ** d / 4
+            return math.comb(n + math.ceil(1 / (2 * delta)) - 1, n)
+        if formula == "lexsort-lower":
+            return k ** ((d - 1) * n + 1)
+        return k ** (n * d)
+
+    @pytest.mark.parametrize("n_arg,d,k,edge", [
+        # 2**13606 has 4096 digits and 2**13608 has 4097.
+        ("6803,6804", 2, 2, (6803, 6804)),
+        # 10**4095 has 4096 digits and 10**4100 has 4101.
+        ("819,820", 5, 10, (819, 820)),
+    ])
+    def test_json_exact_cutoff_edges(self, capsys, n_arg, d, k, edge):
+        assert main(["bounds", "--n", n_arg, "--d", str(d), "--eps", f"1/{2 * k}",
+                     "--format", "json"]) == 0
+        items = json.loads(capsys.readouterr().out)
+        assert len(items) == 8
+        for item in items:
+            x = self._closed_form(item["formula"], item["n"], d, k)
+            if x < 10 ** 4096:
+                assert item["exact"] == x, (item["formula"], item["n"])
+            else:
+                assert "exact" not in item, (item["formula"], item["n"])
+        cube = {i["n"]: i for i in items if i["formula"] == "hypercube-exact"}
+        assert "exact" in cube[edge[0]] and "exact" not in cube[edge[1]]
+
+    def test_huge_n_row(self, capsys):
+        # Frozen from the implementation that built every integer, where
+        # this command took 38-43 s on a 2-vCPU VM.
+        assert main(["bounds", "--n", "10000000", "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["10000000", "2.5e+155", "2.9e+2084",
+                                    "3.7e+9542425", "4.4e+14313637"]
 
     def test_limit_order(self, capsys):
         assert main(["bounds", "--n", "250", "--m", "limit",
