@@ -47,6 +47,7 @@ fraction; strings like "1/6" are parsed exactly.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -181,19 +182,19 @@ def as_exact_ratio(eps) -> Fraction:
 
 
 def _check_eps_open_unit(eps: Fraction) -> Fraction:
-    if not 0 < eps < 1:
+    if not 0 < eps.numerator < eps.denominator:
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     return eps
 
 
 def _half_integer_k(eps: Fraction, context: str) -> int:
-    """k such that eps = 1/(2k); rejects epsilons not of that form."""
-    inv = 1 / eps
-    if inv.denominator != 1 or inv.numerator % 2 != 0:
+    """k such that eps = 1/(2k), for eps in (0, 1); rejects epsilons not
+    of that form."""
+    if eps.numerator != 1 or eps.denominator % 2 != 0:
         raise ValueError(
             f"{context} requires epsilon = 1/(2k) for integer k, got {eps}"
         )
-    return inv.numerator // 2
+    return eps.denominator // 2
 
 
 def _settle(log10: float, digits) -> float:
@@ -284,7 +285,7 @@ def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
-    k = math.ceil(1 / (2 * eps))
+    k = -(-eps.denominator // (2 * eps.numerator))
     return _logvalue(math.comb(n + k**d - 1, n), "quotient-upper")
 
 
@@ -308,18 +309,18 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
-    if m is None:
-        delta = eps**d / 4
-    else:
+    # With num / den = eps, or eps - 2^(-m-1), 1/(2 delta) = 2 den^d / num^d.
+    num, den = eps.numerator, eps.denominator
+    if m is not None:
         if m < 1:
             raise ValueError(f"curve order must be >= 1, got {m}")
-        gap = eps - Fraction(1, 2 ** (m + 1))
-        if gap <= 0:
+        shift = operator.index(m) + 1  # a numpy integer would overflow below
+        num, den = (num << shift) - den, den << shift
+        if num <= 0:
             raise ValueError(
                 f"epsilon = {eps} must exceed 2^-(m+1) = {Fraction(1, 2**(m+1))}"
             )
-        delta = gap**d / 4
-    K = math.ceil(1 / (2 * delta))
+    K = -(-2 * den**d // num**d)
     return _logvalue(math.comb(n + K - 1, n), "hilbert-upper")
 
 

@@ -56,26 +56,50 @@ def _parse_threads(raw: str) -> int:
     return value
 
 
+# Entries per C-encoded block of a flat number list in `_sidecar_json`.
+_SIDECAR_BLOCK = 4096
+
+
+def _number_list_lines(value) -> list[str] | None:
+    """A non-empty flat list of numbers as indented JSON lines, one string
+    per block of `_SIDECAR_BLOCK` entries; None for any other value."""
+    if not isinstance(value, (list, tuple)) or not value:
+        return None
+    blocks = []
+    for start in range(0, len(value), _SIDECAR_BLOCK):
+        body = json.dumps(value[start:start + _SIDECAR_BLOCK], separators=(",", ":"))[1:-1]
+        if any(c in body for c in '[{"'):
+            return None
+        blocks.append(body.replace(",", ",\n    "))
+    return blocks
+
+
 def _sidecar_json(record: dict) -> str:
     """json.dumps(record, sort_keys=True, indent=2) of a non-empty record,
     byte for byte.
 
     `indent` sends the standard library to its pure-Python encoder, which
     is slow on a perm of many thousand entries. So each top-level value
-    that is a flat, non-empty list of numbers is C-encoded compactly and
-    broken into indented lines with one replace; every other value takes the
-    indented encoder.
+    that is a flat, non-empty list of numbers is C-encoded compactly, a
+    block at a time, and each block is broken into indented lines with one
+    replace; every other value takes the indented encoder. The pieces are
+    joined once, so the text is built in memory about twice at most.
     """
-    fields = []
+    pieces = []
     for key in sorted(record):
-        text = json.dumps(record[key], separators=(",", ":"))
-        body = text[1:-1]
-        if text[0] == "[" and body and not any(c in body for c in '[{"'):
-            text = "[\n    " + body.replace(",", ",\n    ") + "\n  ]"
-        else:
-            text = json.dumps(record[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}"
+        pieces.append(("{\n  " if not pieces else ",\n  ") + json.dumps(key) + ": ")
+        blocks = _number_list_lines(record[key])
+        if blocks is None:
+            pieces.append(json.dumps(record[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+            continue
+        pieces.append("[\n    ")
+        for i, lines in enumerate(blocks):
+            if i:
+                pieces.append(",\n    ")
+            pieces.append(lines)
+        pieces.append("\n  ]")
+    pieces.append("\n}")
+    return "".join(pieces)
 
 
 def _cmd_canonize(args) -> int:
@@ -88,7 +112,8 @@ def _cmd_canonize(args) -> int:
     record = {"input": args.input, "output": args.output, **record}
     sidecar = args.output + ".group.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(_sidecar_json(record) + "\n")
+        fh.write(_sidecar_json(record))
+        fh.write("\n")
     print(f"wrote {args.output} and {sidecar}")
     return 0
 

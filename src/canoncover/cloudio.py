@@ -9,6 +9,7 @@ every file at load time. Paths are resolved relative to the manifest.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 
@@ -31,7 +32,7 @@ def format_number(v: float) -> str:
 
 
 # ASCII separators: whitespace to str.strip() and np.loadtxt, not to float().
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
 def _parse_row(line: str) -> list[float] | None:
@@ -73,6 +74,13 @@ def _parse_lines(path, lines) -> np.ndarray:
     return _finite(path, np.array(rows, dtype=float).T)
 
 
+def _line(data: bytes, start: int) -> tuple[str, int]:
+    """The line of `data` that starts at byte `start`, decoded, and the
+    start of the next one. Past the end, the line is empty."""
+    end = data.find(b"\n", start) + 1 or len(data)
+    return data[start:end].decode("utf-8"), end
+
+
 def read_cloud(path) -> np.ndarray:
     """Load a CSV cloud file into a d x n matrix (columns are points).
 
@@ -83,28 +91,49 @@ def read_cloud(path) -> np.ndarray:
     finite, or ValueError names the file (and the line, for a bad row).
     The result is Fortran-ordered: each point's coordinates are adjacent.
 
-    The whole file is parsed by one `np.loadtxt` call. Files it rejects
-    (bad or ragged rows, whitespace-only lines, `float()` spellings such as
-    `1_0` that it does not take) go through the line parser, which accepts
-    or rejects them as the reference does and words the error.
+    The file is read once, as bytes, and one `np.loadtxt` call parses that
+    buffer, with no list of per-line strings. Files it rejects (bad or ragged
+    rows, whitespace-only lines, `float()` spellings such as `1_0` that it
+    does not take) and files with a bare CR line end go through the line
+    parser, which accepts or rejects them as the reference does and words
+    the error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    text = "".join(lines)
-    # A first line that does not parse is a header, or blank: skip it.
-    skip = int(not lines or _parse_row(lines[0].strip()) is None)
-    # loadtxt warns on input with no rows, so it only sees files whose first
-    # line after the header holds data. It also takes \x1c-\x1f around a
-    # cell for whitespace, which float() does not.
-    if skip < len(lines) and lines[skip].strip() and not any(c in text for c in _SEPARATORS):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
         try:
-            coords = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None,
-                                skiprows=skip, dtype=float).T
-        except ValueError:
-            pass
-        else:
-            return _finite(path, coords)
-    return _parse_lines(path, lines)
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            # Raise the text reader's error, whose position counts from the
+            # start of its read chunk, so the message stays as it was.
+            with open(path, "r", encoding="utf-8") as fh:
+                fh.readlines()
+            raise
+    # A bare CR ends a line in text mode but not for loadtxt, and loadtxt
+    # takes \x1c-\x1f around a cell for whitespace, which float() does not.
+    bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    if not bare_cr and not any(c in data for c in _SEPARATORS):
+        # A first line that does not parse is a header, or blank: skip it.
+        line, end = _line(data, 0)
+        skip = int(_parse_row(line.strip()) is None)
+        if skip:
+            line, end = _line(data, end)
+        # loadtxt warns on input with no rows, so it only sees files whose
+        # first line after the header holds data.
+        if line.strip():
+            try:
+                coords = np.loadtxt(io.BytesIO(data), delimiter=",", ndmin=2,
+                                    comments=None, skiprows=skip, dtype=float,
+                                    encoding="utf-8").T
+            except ValueError:
+                pass
+            else:
+                return _finite(path, coords)
+    return _parse_lines(path, io.StringIO(data.decode("utf-8"), newline=None))
+
+
+# Rows per %-format call in `write_cloud`.
+_WRITE_ROWS = 2048
 
 
 def write_cloud(path, coords: np.ndarray) -> None:
@@ -112,12 +141,15 @@ def write_cloud(path, coords: np.ndarray) -> None:
 
     Each value is written as `format_number` writes it, at 12 significant
     digits, so a file read back may differ from `coords` in the last
-    digits. The whole file is built by one %-format call.
+    digits. Rows are formatted and written in blocks of `_WRITE_ROWS`, one
+    %-format call each, so the text in memory at once stays that small.
     """
     coords = np.asarray(coords, dtype=float)
     row = ",".join(["%.12g"] * coords.shape[0]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write((row * coords.shape[1]) % tuple(coords.T.ravel().tolist()))
+        for start in range(0, coords.shape[1], _WRITE_ROWS):
+            rows = coords[:, start:start + _WRITE_ROWS]
+            fh.write((row * rows.shape[1]) % tuple(rows.T.ravel().tolist()))
 
 
 _NORMALIZATION_KEYS = ("sample_n", "shift_positive", "divide_max_axis")

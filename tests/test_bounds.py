@@ -206,6 +206,91 @@ class TestHypercubeExact:
             bound_hypercube_exact(4, 2, 0.3)
 
 
+def _fraction_open_unit(eps):
+    eps = as_exact_ratio(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
+    return eps
+
+
+def _fraction_half_integer_k(eps, context):
+    inv = 1 / eps
+    if inv.denominator != 1 or inv.numerator % 2 != 0:
+        raise ValueError(f"{context} requires epsilon = 1/(2k) for integer k, got {eps}")
+    return inv.numerator // 2
+
+
+def _fraction_quotient_upper(n, d, eps):
+    k = math.ceil(1 / (2 * _fraction_open_unit(eps)))
+    return math.comb(n + k**d - 1, n)
+
+
+def _fraction_hilbert_upper(n, d, eps, m):
+    eps = _fraction_open_unit(eps)
+    if m is None:
+        delta = eps**d / 4
+    else:
+        if m < 1:
+            raise ValueError(f"curve order must be >= 1, got {m}")
+        gap = eps - Fraction(1, 2 ** (m + 1))
+        if gap <= 0:
+            raise ValueError(
+                f"epsilon = {eps} must exceed 2^-(m+1) = {Fraction(1, 2**(m+1))}")
+        delta = gap**d / 4
+    return math.comb(n + math.ceil(1 / (2 * delta)) - 1, n)
+
+
+def _fraction_lexsort_lower(n, d, eps):
+    if n < 2 or d < 2:
+        raise ValueError("the lexsort lower bound needs n >= 2 and d >= 2")
+    k = _fraction_half_integer_k(_fraction_open_unit(eps), "the lexsort lower bound")
+    return k ** ((d - 1) * n + 1)
+
+
+def _fraction_hypercube_exact(n, d, eps):
+    k = _fraction_half_integer_k(_fraction_open_unit(eps), "the hypercube covering number")
+    return k ** (n * d)
+
+
+class TestIntegerEpsilon:
+    """The bound calculators take k and K from the numerator and
+    denominator of eps with integer ceil-division; the `Fraction` formulas
+    here are the reference, for values and error messages alike."""
+
+    EPS = ("1/2", "1/3", "1/4", "1/6", "2/7", "3/8", "5/12", "1/20", "1/100",
+           "99/100", "0.3", "1/1024", "1/2049", "0", "1", "5/4", "-1/6")
+    M = (None, 1, 2, 3, 5, 10, 0)
+
+    @staticmethod
+    def _outcome(func, *args, **kwargs):
+        try:
+            value = func(*args, **kwargs)
+        except ValueError as exc:
+            return str(exc)
+        return value if isinstance(value, int) else value.exact
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_grid_matches_fraction_formulas(self, d):
+        for eps in self.EPS:
+            for n in (1, 2, 3):
+                got = self._outcome(bound_quotient_upper, n, d, eps)
+                assert got == self._outcome(_fraction_quotient_upper, n, d, eps), (n, d, eps)
+                for m in self.M:
+                    got = self._outcome(bound_hilbert_upper, n, d, eps, m=m)
+                    want = self._outcome(_fraction_hilbert_upper, n, d, eps, m)
+                    assert got == want, (n, d, eps, m)
+                for ours, ref in ((bound_lexsort_lower, _fraction_lexsort_lower),
+                                  (bound_hypercube_exact, _fraction_hypercube_exact)):
+                    got = self._outcome(ours, n, d, eps)
+                    assert got == self._outcome(ref, n, d, eps), (ours, n, d, eps)
+
+    def test_numpy_curve_order_does_not_overflow(self):
+        import numpy as np
+
+        assert (bound_hilbert_upper(1, 12, "1/100", m=np.int64(10)).exact
+                == _fraction_hilbert_upper(1, 12, Fraction(1, 100), 10))
+
+
 class TestGroupCardinality:
     def test_doubles_a_unit_bound(self):
         unit = LogValue(log10=0.0, exact=1, formula="quotient-upper")

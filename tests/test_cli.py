@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -100,6 +101,43 @@ class TestCanonize:
                       **apply_canon(read_cloud(src), method)[1]}
             expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
             assert _read_bytes(out + ".group.json") == expected.encode(), (d, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, cli._SIDECAR_BLOCK - 1, cli._SIDECAR_BLOCK,
+                                   cli._SIDECAR_BLOCK + 1, 2 * cli._SIDECAR_BLOCK + 3])
+    def test_sidecar_json_blocks_match_indented_json(self, n):
+        perm = np.random.default_rng(n).permutation(n).tolist()
+        record = {"input": "a.csv", "method": "hilbert:10", "output": "b.csv", "perm": perm}
+        assert cli._sidecar_json(record) == json.dumps(record, sort_keys=True, indent=2)
+
+    def test_sidecar_json_other_values_match_indented_json(self):
+        # pca-skew nests its frame; a list that stops being flat numbers
+        # only in a later block takes the indented encoder as a whole.
+        block = cli._SIDECAR_BLOCK
+        records = [
+            {"input": "a.csv", "output": "b.csv",
+             **apply_canon(np.random.default_rng(3).random((3, 40)), "pca-skew")[1]},
+            {"late-string": list(range(block)) + ["x"], "late-list": [0.5] * block + [[1]],
+             "late-dict": [1] * (2 * block) + [{"a": 1}], "tuple": (1, 2.5),
+             "mixed": [1.5, True, None, -0.0, 1e300] * block, "empty": [], "nested": [[]],
+             "scalar": 3},
+        ]
+        for record in records:
+            assert cli._sidecar_json(record) == json.dumps(record, sort_keys=True, indent=2)
+
+    def test_sidecar_json_peak_memory(self):
+        # A 200000-entry perm: the blocks and their one join stay under
+        # 2.5 times the text; the whole list through one C-encoder call
+        # (one string per entry) and a replace over it does not.
+        perm = np.random.default_rng(9).permutation(200_000).tolist()
+        record = {"input": "a.csv", "method": "hilbert:10", "output": "b.csv", "perm": perm}
+        size = len(cli._sidecar_json(record))
+        tracemalloc.start()
+        try:
+            cli._sidecar_json(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size
 
     def test_idempotent_and_permutation_invariant(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

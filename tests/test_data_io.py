@@ -1,5 +1,6 @@
 """Containers, normalization, synthetic data, and file formats."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -289,6 +290,52 @@ def _random_cloud_file(rng):
     return text, quirk in (None, "nan", "inf")
 
 
+# Edge files for `read_cloud`: (name, bytes, whether the line parser reads
+# them rather than loadtxt).
+_EDGE_FILES = [
+    ("bom", "\ufeff1,2\n3,4\n".encode(), False),
+    ("bom-header", "\ufeffx,y\n1,2\n3,4\n".encode(), False),
+    ("bad-byte", b"1,2\n3,\xff\n", False),
+    ("bad-byte-past-8k", b"1,2\n" * 3000 + b"\xfe3,4\n", False),
+    ("bare-cr", b"1,2\r3,4\r", True),
+    ("bare-cr-after-header", b"x,y\r1,2\n3,4\n", True),
+    ("cr-crlf", b"1,2\r\r\n3,4\r\n", True),
+    ("crlf", b"x,y\r\n1,2\r\n3,4\r\n", False),
+    ("crlf-no-header", b"1,2\r\n3,4", False),
+    *[(f"sep-{ord(c):x}-{where}", text.encode(), True)
+      for c in "\x1c\x1d\x1e\x1f"
+      for where, text in (("end", f"1,2{c}\n3,4\n"), ("cell", f"1,2\n3{c},4\n"))],
+    ("header-only", b"x,y\n", True),
+    ("header-only-no-newline", b"x,y", True),
+    ("header-blank-second-line", b"x,y\n\n1,2\n3,4\n", True),
+    ("no-trailing-newline", b"1,2\n3,4", False),
+]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that tracemalloc sees allocated during `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _text_reader_reference(path):
+    """The line parser on the lines of a text-mode read, as `read_cloud`
+    read files before it took the bytes."""
+    with open(path, encoding="utf-8") as fh:
+        return cloudio._parse_lines(path, fh.readlines())
+
+
 class TestCloudCsv:
     def test_round_trip(self, tmp_path, rng):
         X = rng.random((3, 9))
@@ -395,6 +442,59 @@ class TestCloudCsv:
                 assert not fallbacks, text
                 bulk_reads += 1
         assert bulk_reads > 100
+
+    @pytest.mark.parametrize("name,data,line_parsed", _EDGE_FILES,
+                             ids=[f[0] for f in _EDGE_FILES])
+    def test_edge_files_match_text_reader(self, tmp_path, monkeypatch, name, data,
+                                          line_parsed):
+        # A file read as bytes gives the result, or the error text, of the
+        # line parser on a text-mode read; a non-UTF-8 byte keeps the text
+        # reader's wording, whose position counts from its 8 KiB chunk.
+        # Only a bare CR line end or a \x1c-\x1f separator keeps an
+        # otherwise good file off the loadtxt path.
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        want = _outcome(_text_reader_reference, path)
+        fallbacks = []
+        line_parser = cloudio._parse_lines
+        monkeypatch.setattr(cloudio, "_parse_lines",
+                            lambda p, lines: fallbacks.append(p) or line_parser(p, lines))
+        got = _outcome(read_cloud, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want) and got.flags.f_contiguous
+        assert bool(fallbacks) == line_parsed
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_write_cloud_blocks_match_one_call(self, tmp_path, d):
+        block = cloudio._WRITE_ROWS
+        rng = np.random.default_rng(d)
+        for n in (1, block - 1, block, block + 1, 2 * block + 3):
+            X = rng.normal(size=(d, n)) * 10.0 ** rng.integers(-5, 6, size=(d, n))
+            row = ",".join(["%.12g"] * d) + "\n"
+            expected = ((row * n) % tuple(X.T.ravel().tolist())).encode()
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                path = tmp_path / f"w{d}_{n}.csv"
+                write_cloud(path, layout(X))
+                assert path.read_bytes() == expected, (d, n, layout.__name__)
+
+    # On a 3 x 200000 cloud (4.8 MB of float64, a 9 MB file) the writer
+    # holds one block of text at a time and the reader the file's bytes
+    # plus the array it grows. The whole text at once, or a list of
+    # per-line strings, exceeds either bound several times.
+    def test_write_cloud_peak_memory(self, tmp_path):
+        X = np.random.default_rng(5).random((3, 200_000))
+        write_cloud(tmp_path / "first.csv", X)
+        assert _traced_peak(lambda: write_cloud(tmp_path / "big.csv", X)) < X.nbytes // 4
+        assert (tmp_path / "big.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+    def test_read_cloud_peak_memory(self, tmp_path):
+        X = np.random.default_rng(5).random((3, 200_000))
+        path = tmp_path / "big.csv"
+        write_cloud(path, X)
+        read_cloud(path)
+        assert _traced_peak(lambda: read_cloud(path)) < path.stat().st_size + 2 * X.nbytes
 
     def test_format_number(self):
         assert format_number(0.5) == "0.5"
