@@ -33,7 +33,7 @@ _ORIGIN = {name: module for module, names in {
               "sign_orbit"),
     "choices": ("CANON_CHOICES", "METRIC_CHOICES", "SUITE_NAMES"),
     "coverage": ("CoverageReport", "LabelCoverageError", "NetResult", "coverage",
-                 "exact_cover_number", "greedy_net", "greedy_packing", "two_ball_set"),
+                 "exact_cover_number", "greedy_net", "two_ball_set"),
     "data": ("Dataset", "PointCloud", "apply_canon", "canonize_dataset", "normalize_cloud",
              "synthetic_dataset", "synthetic_split"),
     "hilbert": ("HilbertParams", "cell_of", "centroid", "cloud_indices", "decode", "encode",
@@ -95,7 +95,6 @@ __all__ = [
     "exact_cover_number",
     "generalization_rhs",
     "greedy_net",
-    "greedy_packing",
     "index_centroid",
     "jacobi_eigh",
     "mantissa_exponent",

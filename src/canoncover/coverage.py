@@ -6,13 +6,13 @@ train item, max coverage is the largest q_t (the smallest epsilon making
 the train set an epsilon-cover of the test set), and mean coverage
 averages the q_t.
 
-The net/packing/cover routines are internal: centers are chosen from the
+The net and cover routines are internal: centers are chosen from the
 input points themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "LabelCoverageError",
     "coverage",
     "greedy_net",
-    "greedy_packing",
     "exact_cover_number",
     "two_ball_set",
 ]
@@ -55,7 +54,7 @@ class CoverageReport:
 
 @dataclass
 class NetResult:
-    """Centers selected by a net/packing/cover routine."""
+    """Centers selected by a net or cover routine."""
 
     center_indices: list[int]
     epsilon: float
@@ -71,16 +70,18 @@ def coverage(train: Dataset, test: Dataset, metric,
     """Nearest-train distance for every test item.
 
     With same_label_only, each test item is compared only against train
-    items sharing its label; a label with no train representative raises
-    LabelCoverageError.
+    items sharing its label; a label with no train item raises
+    LabelCoverageError, naming the label of the first such test item.
 
     When every cloud has one shape and the metric has a `nearest` scan
-    (perm-sum and perm-bottleneck), each test item is one `nearest` call
-    over the stack of its eligible train clouds. That scan prunes in two
-    tiers, by the sorted-marginal/centroid bound and then by each
-    survivor's reduced-cost bound, and still returns the full scan's
-    value bit for bit. Other metrics, and datasets whose clouds differ in
-    shape, take a plain minimum over every eligible item in train order.
+    (perm-sum and perm-bottleneck), the test items take one `nearest`
+    call in all, or with same_label_only one per label, each over the
+    stack of that group's eligible train clouds. That scan prunes in two
+    tiers, by the sorted-marginal bound for the whole test stack and
+    then by each survivor's reduced-cost bound, and still returns the
+    full scan's value bit for bit. Other metrics, and datasets whose
+    clouds differ in shape, take a plain minimum over every eligible
+    item in train order, one test item at a time.
     """
     metric = parse_metric(metric)
     if len(train.items) == 0:
@@ -89,23 +90,32 @@ def coverage(train: Dataset, test: Dataset, metric,
         raise ValueError("test set is empty")
     train_coords = [item.coords for item in train.items]
     train_labels = [item.label for item in train.items]
+    keys = [item.label if same_label_only else None for item in test.items]
+    rows: dict = {}
+
+    def eligible(key) -> list[int]:
+        if key not in rows:
+            rows[key] = [i for i, lab in enumerate(train_labels)
+                         if not same_label_only or lab == key]
+            if not rows[key]:
+                raise LabelCoverageError(f"no train item with label {key!r}")
+        return rows[key]
+
     shapes = {item.coords.shape for item in train.items + test.items}
-    stack = np.stack(train_coords) if metric.nearest and len(shapes) == 1 else None
-
-    def nearest(t: int) -> float:
-        X = test.items[t].coords
-        if same_label_only:
-            label = test.items[t].label
-            eligible = [i for i, lab in enumerate(train_labels) if lab == label]
-            if not eligible:
-                raise LabelCoverageError(f"no train item with label {label!r}")
-        else:
-            eligible = range(len(train_coords))
-        if stack is not None:
-            return metric.nearest(X, stack[eligible])
-        return min(metric(X, train_coords[i]) for i in eligible)
-
-    q = np.array([nearest(t) for t in range(len(test.items))])
+    if metric.nearest and len(shapes) == 1:
+        stack = np.stack(train_coords)
+        test_stack = np.stack([item.coords for item in test.items])
+        groups: dict = {}
+        for t, key in enumerate(keys):
+            groups.setdefault(key, []).append(t)
+        # Groups run in the order of their first test item, so a missing
+        # label raises for the first such test item, as a per-item scan would.
+        q = np.empty(len(keys))
+        for key, members in groups.items():
+            q[members] = metric.nearest(test_stack[members], stack[eligible(key)])
+    else:
+        q = np.array([min(metric(item.coords, train_coords[i]) for i in eligible(key))
+                      for item, key in zip(test.items, keys)])
     return CoverageReport(
         q=q,
         mean_coverage=float(np.mean(q)),
@@ -129,12 +139,6 @@ def greedy_net(points, metric, epsilon) -> NetResult:
         if all(metric(p, points[c]) > epsilon for c in centers):
             centers.append(i)
     return NetResult(center_indices=centers, epsilon=float(epsilon))
-
-
-def greedy_packing(points, metric, epsilon) -> NetResult:
-    """The same greedy pass as greedy_net, reported as a maximal
-    epsilon-separated set (a packing)."""
-    return replace(greedy_net(points, metric, epsilon), kind="packing")
 
 
 _EXACT_COVER_MAX = 20

@@ -13,20 +13,25 @@ depend on the memory layout of the inputs, and Fortran-ordered clouds
 on small instances; it keeps its own broadcast cost.
 
 `parse_metric` gives the two permutation quotients a nearest-candidate
-scan, `Metric.nearest`, that returns the exact minimum over a stack of
-candidates while solving few of them. It prunes in two tiers. Tier 1 is
-`Metric.lower_bound`: sorting is an exact 1-d isometry, so the sorted
-per-axis marginals bound both quotients from below, and for perm-sum so
-does the distance between centroids (Rubner, Tomasi & Guibas, IJCV
-2000). The lowest candidate is solved, and only candidates whose bound
-is within a 1e-9 relative slack of that value survive. Tier 2 builds
-the survivors' costs with one `cdist` call and bounds each cost matrix
-by its row reduction, the feasible assignment dual of Kuhn's Hungarian
-method (Burkard, Dell'Amico & Martello, *Assignment Problems*, 2009).
-Survivors are solved in order of that bound until the next one exceeds
-the best value by the slack. The reduced-cost bound sums non-negative
-terms read from the same cost matrix the solver reads, so its rounding
-error is a few ulps of the candidate's own value, far inside the slack.
+scan, `Metric.nearest`, that takes a stack of Q test clouds and returns,
+for each, the exact minimum over a stack of candidates while solving few
+of them. It prunes in two tiers. Tier 1 is `Metric.lower_bound`, batched
+over the test stack: sorting is an exact 1-d isometry, so the gaps W_a
+between the sorted per-axis marginals bound both quotients from below,
+as max_a Winf_a for perm-bottleneck and ||(W1_a)_a||_2 / n for perm-sum,
+which dominates the centroid bound of Rubner, Tomasi & Guibas (IJCV
+2000). The candidates' marginals are sorted once per call, and the gaps
+are built for chunks of test clouds. For each test cloud, the lowest
+candidate is solved, and only candidates whose bound is within a 1e-9
+relative slack of that value survive. Tier 2 builds the survivors' costs
+with one `cdist` call in j-major order, so each reduction runs over the
+candidates at once, and bounds each cost matrix by its row reduction,
+the feasible assignment dual of Kuhn's Hungarian method (Burkard,
+Dell'Amico & Martello, *Assignment Problems*, 2009). Survivors are
+solved in order of that bound until the next one exceeds the best value
+by the slack. The reduced-cost bound sums non-negative terms read from
+the same cost matrix the solver reads, so its rounding error is a few
+ulps of the candidate's own value, far inside the slack.
 
 scipy is imported on the first call to `linear_sum_assignment` or
 `cdist`, that is, on the first permutation-quotient solve or cost build,
@@ -175,19 +180,25 @@ def perm_quotient_sum(X, Y) -> float:
 
 
 def _bottleneck_assignment(cost: np.ndarray) -> float:
-    """Smallest t such that some assignment uses no cost above t, found by
-    binary search over the sorted distinct costs. A threshold t is feasible
-    iff the optimal assignment on the 0/1 matrix `cost > t` picks no 1."""
+    """Smallest t such that some assignment uses no cost above t.
+
+    A threshold t is feasible iff the optimal assignment on the 0/1 matrix
+    `cost > t` picks no 1. The answer is one of the distinct costs, and it
+    lies in a bracket: no assignment costs less than the largest row or
+    column minimum, since it takes one entry of every row and column, and
+    the largest entry of one min-sum assignment is feasible. A binary
+    search runs over the distinct costs inside that bracket only."""
 
     def feasible(t: float) -> bool:
         forbidden = cost > t
         rows, cols = linear_sum_assignment(forbidden)
         return not forbidden[rows, cols].any()
 
-    values = np.unique(cost)
+    rows, cols = linear_sum_assignment(cost)
+    upper = cost[rows, cols].max()
+    lower = max(cost.min(axis=1).max(), cost.min(axis=0).max())
+    values = np.unique(cost[(cost >= lower) & (cost <= upper)])
     lo, hi = 0, len(values) - 1
-    if not feasible(values[hi]):
-        raise InternalConsistencyError("complete cost matrix has no perfect matching")
     while lo < hi:
         mid = (lo + hi) // 2
         if feasible(values[mid]):
@@ -321,15 +332,16 @@ class Metric:
 
     `lower_bound(X, B)`, when set, maps one d x n cloud X and a stack B
     of C clouds (C x d x n) to C values, each at most func(X, B[c]).
-    `nearest(X, B)`, when set, returns min over c of func(X, B[c]),
-    bit for bit, without solving every candidate (see the module
-    docstring for its two pruning tiers).
+    `nearest(T, B)`, when set, maps a stack T of Q test clouds
+    (Q x d x n, Q >= 0) to Q values, min over c of func(T[q], B[c]) bit
+    for bit, without solving every candidate (see the module docstring
+    for its two pruning tiers). A single cloud X is passed as X[None].
     """
 
     name: str
     func: Callable[[np.ndarray, np.ndarray], float]
     lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    nearest: Callable[[np.ndarray, np.ndarray], float] | None = None
+    nearest: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, X, Y) -> float:
         return self.func(X, Y)
@@ -361,29 +373,51 @@ _REGISTRY: dict[str, Callable] = {
 }
 
 
-def _sorted_marginal_gaps(X, B) -> np.ndarray:
-    """sort(B_c, axis a) - sort(X_a) for every stacked cloud c and axis a:
-    (C, d, n). Sorting is an exact 1-d isometry, so these gaps give the
-    optimal matching along each axis taken alone."""
-    return np.sort(B, axis=2) - np.sort(X, axis=1)
+# Most gap entries one tier-1 chunk of test clouds holds: 512 KB of
+# float64. A chunk holds at least one test cloud.
+_TIER1_CHUNK = 1 << 16
 
 
-def _perm_sum_lower_bound(X, B) -> np.ndarray:
-    """max(max_a W1_a / n, ||mean X - mean Y||_2) for every Y in B.
+def _tier1(marginal_bound, T, B) -> np.ndarray:
+    """marginal_bound(|sort(B[c], axis a) - sort(T[q], axis a)|) for every
+    test cloud q and candidate c: (Q, C).
 
-    Each column cost ||.||_2 is at least its gap along any one axis, and
-    the mean of the costs is at least the norm of the mean difference
-    (the centroid bound on earth mover's distance)."""
-    gaps = _sorted_marginal_gaps(X, B)
-    marginal = np.abs(gaps).mean(axis=2).max(axis=1)
-    centroid = np.sqrt(np.sum(gaps.mean(axis=2) ** 2, axis=1))
-    return np.maximum(marginal, centroid)
+    Sorting is an exact 1-d isometry, so these gaps give the optimal
+    matching along each axis taken alone. Both stacks are sorted once;
+    the gaps are built for chunks of test clouds of at most `_TIER1_CHUNK`
+    entries. Each bound reduces the trailing (d, n) axes of one
+    C-ordered chunk, so a row depends neither on the chunking nor on the
+    stacks' memory layout."""
+    T, B = (np.ascontiguousarray(np.sort(S, axis=-1)) for S in (T, B))
+    per_chunk = max(1, _TIER1_CHUNK // max(B.size, 1))
+    lower = np.empty((len(T), len(B)))
+    for q in range(0, len(T), per_chunk):
+        gaps = B - T[q:q + per_chunk, None]
+        lower[q:q + per_chunk] = marginal_bound(np.abs(gaps, out=gaps))
+    return lower
 
 
-def _perm_bottleneck_lower_bound(X, B) -> np.ndarray:
-    """max_a W_inf_a for every Y in B: each column cost ||.||_inf is at
-    least its gap along any one axis."""
-    return np.abs(_sorted_marginal_gaps(X, B)).max(axis=(1, 2))
+def _lower_bound(marginal_bound, X, B) -> np.ndarray:
+    """Tier 1 of one d x n cloud X against a stack B: (C,)."""
+    return _tier1(marginal_bound, np.asarray(X, dtype=float)[None], B)[0]
+
+
+def _perm_sum_marginal_bound(gaps) -> np.ndarray:
+    """||(W1_a)_a||_2 / n over the trailing (d, n) axes of absolute sorted
+    gaps, with W1_a the sum of axis a's gaps.
+
+    For any unit w >= 0, ||x_i - y_pi(i)||_2 >= sum_a w_a |x_ia - y_pi(i)a|,
+    and summed over i that is at least sum_a w_a W1_a; w = W1 / ||W1||
+    gives ||W1||. This dominates both the largest marginal, max_a W1_a,
+    and the centroid gap, since W1_a >= |sum_i (x_ia - y_ia)|."""
+    return np.sqrt(np.sum(gaps.sum(axis=-1) ** 2, axis=-1)) / gaps.shape[-1]
+
+
+def _perm_bottleneck_marginal_bound(gaps) -> np.ndarray:
+    """max_a Winf_a, the largest absolute sorted gap over the trailing
+    (d, n) axes: each column cost ||.||_inf is at least its gap along any
+    one axis."""
+    return gaps.max(axis=(-2, -1))
 
 
 def _reduced_cost_sum_bound(cost) -> np.ndarray:
@@ -393,10 +427,12 @@ def _reduced_cost_sum_bound(cost) -> np.ndarray:
     With u_i the row minima and v_j the column minima of cost - u, every
     u_i + v_j <= cost_ij, so sum(u) + sum(v) is at most the cost of any
     assignment. All terms are non-negative and come from the same matrix
-    the solver reads."""
-    u = cost.min(axis=2)
-    v = (cost - u[:, :, None]).min(axis=1)
-    return (u.sum(axis=1) + v.sum(axis=1)) / cost.shape[2]
+    the solver reads. The reductions run on the (i, j, S) transpose, which
+    is C-ordered for a `_cost_block`."""
+    cost = cost.transpose(1, 2, 0)
+    u = cost.min(axis=1)
+    v = (cost - u[:, None]).min(axis=0)
+    return (u.sum(axis=0) + v.sum(axis=0)) / cost.shape[1]
 
 
 def _reduced_cost_max_bound(cost) -> np.ndarray:
@@ -418,26 +454,23 @@ _COST_BLOCK = 1 << 20
 
 def _cost_block(X, B, base) -> np.ndarray:
     """cdist(X.T, B[s].T, base) for every cloud s of the stack B, from one
-    cdist call over B's stacked points: an S x n x n view. cdist computes
-    each pair's distance on its own, so every slice equals the per-pair
-    cost bit for bit."""
+    cdist call over B's stacked points in j-major order: an S x n x n view
+    whose candidate axis s is the contiguous one, so the reduced-cost
+    bounds reduce rows and columns of every candidate at once. cdist
+    computes each pair's distance on its own, so every slice equals the
+    per-pair cost bit for bit."""
     S, d, n = B.shape
-    cost = cdist(X.T, B.transpose(0, 2, 1).reshape(S * n, d), base)
-    return cost.reshape(n, S, n).transpose(1, 0, 2)
+    cost = cdist(X.T, B.transpose(2, 0, 1).reshape(n * S, d), base)
+    return cost.reshape(n, n, S).transpose(2, 0, 1)
 
 
-def _nearest_perm(base, lower_bound, reduced_bound, solve, X, B) -> float:
-    """min over c of solve(cdist(X.T, B[c].T, base)), pruned in two tiers."""
-    X = _as_cloud(X)
-    B = _as_cloud(B, ndim=3)
-    if B.shape[1:] != X.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {B.shape[1:]}")
-    n = X.shape[1]
-    lower = lower_bound(X, B)
+def _nearest_one(base, reduced_bound, solve, X, B, lower) -> float:
+    """min over c of solve(cdist(X.T, B[c].T, base)) for one test cloud X,
+    given its tier-1 bounds `lower` against B: tier 2 of the scan."""
     order = np.argsort(lower, kind="stable")
     best = solve(cdist(X.T, B[order[0]].T, base))
     rest = order[1:]
-    per_block = max(1, _COST_BLOCK // (n * n))
+    per_block = max(1, _COST_BLOCK // X.shape[1] ** 2)
     while True:
         rest = rest[lower[rest] <= best * _PRUNE_SLACK]
         if not len(rest):
@@ -451,16 +484,32 @@ def _nearest_perm(base, lower_bound, reduced_bound, solve, X, B) -> float:
             best = min(best, solve(cost[k]))
 
 
-def _pruned_scan(base, lower_bound, reduced_bound, solve) -> dict:
-    return {"lower_bound": lower_bound,
-            "nearest": functools.partial(_nearest_perm, base, lower_bound,
+def _nearest_perm(base, marginal_bound, reduced_bound, solve, T, B) -> np.ndarray:
+    """min over c of solve(cdist(T[q].T, B[c].T, base)) for every test
+    cloud q of the stack T: (Q,), pruned in two tiers."""
+    B = _as_cloud(B, ndim=3)
+    T = np.asarray(T, dtype=float)
+    if T.ndim != 3:
+        raise ValueError(f"expected a Q x d x n stack of test clouds, got shape {T.shape}")
+    if T.shape[1:] != B.shape[1:]:
+        raise ValueError(f"shape mismatch: {T.shape[1:]} vs {B.shape[1:]}")
+    if not np.isfinite(T).all():
+        raise ValueError("cloud contains non-finite entries")
+    lower = _tier1(marginal_bound, T, B)
+    return np.array([_nearest_one(base, reduced_bound, solve, X, B, lower[q])
+                     for q, X in enumerate(T)])
+
+
+def _pruned_scan(base, marginal_bound, reduced_bound, solve) -> dict:
+    return {"lower_bound": functools.partial(_lower_bound, marginal_bound),
+            "nearest": functools.partial(_nearest_perm, base, marginal_bound,
                                          reduced_bound, solve)}
 
 
 _PRUNED_SCANS: dict[str, dict] = {
-    "perm-sum": _pruned_scan("euclidean", _perm_sum_lower_bound,
+    "perm-sum": _pruned_scan("euclidean", _perm_sum_marginal_bound,
                              _reduced_cost_sum_bound, _assignment_mean),
-    "perm-bottleneck": _pruned_scan("chebyshev", _perm_bottleneck_lower_bound,
+    "perm-bottleneck": _pruned_scan("chebyshev", _perm_bottleneck_marginal_bound,
                                     _reduced_cost_max_bound, _assignment_max),
 }
 

@@ -250,36 +250,59 @@ def _check_solvers_against_brute(rng):
                    - metrics.brute_perm_quotient(X, Y, "inf")) <= _TOL
 
 
+# (name, base for brute_perm_quotient, base distance, tier-1 marginal bound)
+_PERM_QUOTIENTS = (
+    ("perm-sum", "mean-euclidean", metrics.dist_mean_euclidean,
+     metrics._perm_sum_marginal_bound),
+    ("perm-bottleneck", "inf", metrics.dist_inf, metrics._perm_bottleneck_marginal_bound),
+)
+
+
 def _check_quotient_sandwich(rng):
-    pairs = (("perm-sum", "mean-euclidean", metrics.dist_mean_euclidean),
-             ("perm-bottleneck", "inf", metrics.dist_inf))
     canons = (("hilbert:4", lambda Z: canon.canon_hilbert(Z, m=4).cloud),
               ("lexsort", lambda Z: canon.canon_lexsort(Z).cloud))
-    for _ in range(50):
+    for _ in range(25):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
-        X, Y = rng.random((d, n)), rng.random((d, n))
-        for name, base, dist in pairs:
-            lower = float(metrics.parse_metric(name).lower_bound(X, Y[None])[0])
-            quotient = metrics.brute_perm_quotient(X, Y, base)
-            assert lower <= quotient + _TOL, (name, lower, quotient)
-            for spec, canonize in canons:
-                canonized = dist(canonize(X), canonize(Y))
-                assert quotient <= canonized + _TOL, (name, spec, quotient, canonized)
+        T, B = rng.random((2, d, n)), rng.random((2, d, n))
+        for name, base, dist, marginal_bound in _PERM_QUOTIENTS:
+            lower = metrics._tier1(marginal_bound, T, B)
+            for (q, X), (c, Y) in itertools.product(enumerate(T), enumerate(B)):
+                quotient = metrics.brute_perm_quotient(X, Y, base)
+                assert lower[q, c] <= quotient + _TOL, (name, lower[q, c], quotient)
+                for spec, canonize in canons:
+                    canonized = dist(canonize(X), canonize(Y))
+                    assert quotient <= canonized + _TOL, (name, spec, quotient, canonized)
+
+
+def _check_batched_tier1(rng):
+    # The whole test stack fits one chunk; lower_bound makes a chunk of
+    # one cloud. Both layouts.
+    for i in range(10):
+        d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        T, B = rng.random((int(rng.integers(1, 9)), d, n)), rng.random((12, d, n))
+        if i % 2:
+            T, B = np.asfortranarray(T.round(1)), np.asfortranarray(B.round(1))
+        for name, _, _, marginal_bound in _PERM_QUOTIENTS:
+            batched = metrics._tier1(marginal_bound, T, B)
+            lower_bound = metrics.parse_metric(name).lower_bound
+            for q, X in enumerate(T):
+                assert np.array_equal(batched[q], lower_bound(X, B)), (name, i, q)
 
 
 def _check_reduced_cost_bound(rng):
     cases = (("mean-euclidean", "euclidean", metrics._reduced_cost_sum_bound),
              ("inf", "chebyshev", metrics._reduced_cost_max_bound))
-    for i in range(100):
+    for i in range(50):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
-        X, Y = rng.random((d, n)), rng.random((d, n))
+        X, B = rng.random((d, n)), rng.random((2, d, n))
         if i % 2:  # exact ties and duplicated columns
-            X, Y = X.round(1), Y.round(1)
+            X, B = X.round(1), B.round(1)
             X[:, -1] = X[:, 0]
         for base, name, bound in cases:
-            lower = float(bound(metrics._cost_block(X, Y[None], name))[0])
-            quotient = metrics.brute_perm_quotient(X, Y, base)
-            assert lower <= quotient + _TOL, (base, lower, quotient)
+            lower = bound(metrics._cost_block(X, B, name))
+            for s, Y in enumerate(B):
+                quotient = metrics.brute_perm_quotient(X, Y, base)
+                assert lower[s] <= quotient + _TOL, (base, lower[s], quotient)
 
 
 def _check_sign_rowwise_vs_exhaustive(rng):
@@ -383,8 +406,8 @@ def _check_nearest_in_later_block(rng):
     assert np.all(lower == lower[0]), "tier 1 separates the candidates"
     full = [metric(X, Y) for Y in B]
     assert int(np.argmin(full)) == len(B) - 1 and full[-1] == 0.0, full
-    nearest = metric.nearest(X, B)
-    assert nearest == min(full), (nearest, min(full))
+    nearest = metric.nearest(X[None], B)
+    assert np.array_equal(nearest, [min(full)]), (nearest, min(full))
 
 
 def _check_greedy_validity(rng):
@@ -503,8 +526,8 @@ SUITES: dict[str, list[tuple[str, object]]] = {
     "metrics": [
         ("symmetry and triangle inequality", _check_metric_axioms),
         ("solvers match brute force", _check_solvers_against_brute),
-        ("marginal/centroid lower bound <= quotient <= canonized",
-         _check_quotient_sandwich),
+        ("marginal lower bound <= quotient <= canonized", _check_quotient_sandwich),
+        ("batched marginal bound equals per-cloud lower_bound", _check_batched_tier1),
         ("reduced-cost bound <= quotient", _check_reduced_cost_bound),
         ("sign rowwise equals exhaustive", _check_sign_rowwise_vs_exhaustive),
     ],

@@ -14,7 +14,6 @@ from canoncover.coverage import (
     coverage,
     exact_cover_number,
     greedy_net,
-    greedy_packing,
     two_ball_set,
 )
 from canoncover.data import Dataset, PointCloud, canonize_dataset, synthetic_split
@@ -77,6 +76,16 @@ class TestCoverage:
         test = _dataset([(1.0,)], labels=[7])
         with pytest.raises(LabelCoverageError):
             coverage(train, test, "mean-euclidean", same_label_only=True)
+
+    @pytest.mark.parametrize("metric", ["perm-sum", "perm-bottleneck", "mean-euclidean"])
+    def test_missing_label_names_first_test_item(self, metric):
+        # Labels 7 and 9 have no train item; 7 comes first in test order,
+        # after items whose labels do, and ahead of a later item labelled 0.
+        train = _dataset([(0.0,), (1.0,)], labels=[0, 1])
+        for labels, missing in (([1, 7, 0, 9, 0], 7), ([9, 0, 7], 9), ([0, 0, 1, 7], 7)):
+            test = _dataset([(float(t),) for t in range(len(labels))], labels=labels)
+            with pytest.raises(LabelCoverageError, match=f"^no train item with label {missing}$"):
+                coverage(train, test, metric, same_label_only=True)
 
     def test_empty_train_raises(self):
         with pytest.raises(ValueError):
@@ -256,11 +265,16 @@ class TestGreedy:
         assert net.size == 2 and net.center_indices == [0, 2]
 
     def test_packing_matches_net(self, rng):
+        # The net is the maximal eps-separated set built in input order
+        # from the full distance matrix.
         pts = [rng.random((2, 1)) for _ in range(30)]
-        net = greedy_net(pts, "frobenius", 0.2)
-        pack = greedy_packing(pts, "frobenius", 0.2)
-        assert net.center_indices == pack.center_indices
-        assert pack.kind == "packing"
+        metric = parse_metric("frobenius")
+        far = np.array([[metric(p, r) > 0.2 for r in pts] for p in pts])
+        packing = []
+        for i in range(len(pts)):
+            if far[i, packing].all():
+                packing.append(i)
+        assert greedy_net(pts, metric, 0.2).center_indices == packing
 
     def test_net_is_valid_cover_and_packing(self, rng):
         metric = parse_metric("frobenius")

@@ -152,6 +152,27 @@ def kuhn_bottleneck(cost: np.ndarray) -> float:
     return float(values[lo])
 
 
+def full_search_bottleneck(cost: np.ndarray) -> float:
+    """The unbracketed threshold search: binary search over every distinct
+    cost, each threshold tested with one assignment solve."""
+
+    def feasible(t):
+        forbidden = cost > t
+        rows, cols = linear_sum_assignment(forbidden)
+        return not forbidden[rows, cols].any()
+
+    values = np.unique(cost)
+    lo, hi = 0, len(values) - 1
+    assert feasible(values[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(values[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(values[lo])
+
+
 class TestPermQuotients:
     def test_permutation_gives_zero(self, rng):
         for _ in range(50):
@@ -196,6 +217,32 @@ class TestPermQuotients:
                 X, Y = X.round(1), Y.round(1)
             linf = np.max(np.abs(X[:, :, None] - Y[:, None, :]), axis=0)
             assert perm_quotient_bottleneck(X, Y) == kuhn_bottleneck(linf)
+
+    def test_bracketed_search_matches_full_search(self, monkeypatch):
+        # Random and tied instances (_tied_pair), near pairs included; the
+        # bracket never needs more assignment solves than the full search.
+        rng = np.random.default_rng(808)
+        solves = []
+
+        def counted(cost, maximize=False):
+            solves.append(1)
+            return linear_sum_assignment(cost, maximize)
+
+        monkeypatch.setattr(metrics, "linear_sum_assignment", counted)
+        for i in range(300):
+            d, n = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+            X, Y = _tied_pair(rng, d, n, i)
+            if i % 3 == 2:
+                Y = X[:, rng.permutation(n)] + 0.01 * rng.random((d, n))
+            linf = cdist(X.T, Y.T, "chebyshev")
+            solves.clear()
+            value = perm_quotient_bottleneck(X, Y)
+            bracketed = len(solves)
+            assert value == full_search_bottleneck(linf), i
+            full = 1 + int(np.ceil(np.log2(len(np.unique(linf)))))
+            assert 1 <= bracketed <= full, (i, bracketed, full)
+            if n <= 7:
+                assert value == brute_perm_quotient(X, Y, "inf"), i
 
     def test_bottleneck_beyond_recursion_limit(self):
         # n above the default 1000-frame recursion limit; sorting is the
@@ -475,10 +522,59 @@ class TestMarginalCentroidLowerBound:
             assert (parse_metric("perm-bottleneck").lower_bound(X, Y[None])[0]
                     == perm_quotient_bottleneck(X, Y))
 
-    def test_centroid_term_beats_marginals(self):
-        # Both axes shift by 1: each marginal gap is 1, the centroid gap sqrt(2).
-        X = np.zeros((2, 3))
+    def test_l2_marginal_reaches_centroid_gap(self):
+        # Both axes shift by 1: each marginal gap is 1, the centroid gap
+        # sqrt(2), and ||(W1_a)_a||_2 / n = sqrt(32) / 4 = sqrt(2) exactly.
+        X = np.zeros((2, 4))
         assert parse_metric("perm-sum").lower_bound(X, (X + 1.0)[None])[0] == np.sqrt(2.0)
+
+    def test_l2_marginal_dominates_max_marginal(self, rng):
+        # The bound it replaced, max_a W1_a / n, pointwise and bit for bit;
+        # at d = 1 the two are equal.
+        bound = parse_metric("perm-sum").lower_bound
+        for _ in range(200):
+            d, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            X, B = rng.random((d, n)), rng.random((6, d, n))
+            if d > 1:
+                B[0] = X + rng.random((d, 1))
+            old = np.abs(np.sort(B, axis=2) - np.sort(X, axis=1)).mean(axis=2).max(axis=1)
+            new = bound(X, B)
+            assert np.all(new >= old), (d, n)
+            if d == 1:
+                assert np.array_equal(new, old)
+
+    def test_l2_marginal_below_exact_within_slack(self, rng):
+        bound = parse_metric("perm-sum").lower_bound
+        for i in range(200):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 65))
+            X, Y = _tied_pair(rng, d, n, i)
+            lower = bound(X, Y[None])[0]
+            assert lower <= perm_quotient_sum(X, Y) * metrics._PRUNE_SLACK, i
+            if n <= 7:
+                assert lower <= brute_perm_quotient(X, Y, "mean-euclidean") + TOL, i
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_batched_tier1_equals_lower_bound(self, chunk, monkeypatch):
+        # Row for row and bit for bit, in both layouts; chunk = 1 caps a
+        # chunk at one test cloud.
+        if chunk is not None:
+            monkeypatch.setattr(metrics, "_TIER1_CHUNK", chunk)
+        rng = np.random.default_rng(77)
+        bounds = {"perm-sum": metrics._perm_sum_marginal_bound,
+                  "perm-bottleneck": metrics._perm_bottleneck_marginal_bound}
+        for i in range(20):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+            T, B = rng.random((int(rng.integers(1, 12)), d, n)), rng.random((9, d, n))
+            if i % 2:
+                T, B = np.asfortranarray(T.round(1)), np.asfortranarray(B.round(1))
+            for name, marginal_bound in bounds.items():
+                batched = metrics._tier1(marginal_bound, T, B)
+                assert batched.shape == (len(T), len(B))
+                lower_bound = parse_metric(name).lower_bound
+                for q in range(len(T)):
+                    assert np.array_equal(batched[q], lower_bound(T[q], B)), (i, name, q)
+                    assert np.array_equal(batched[q], lower_bound(np.ascontiguousarray(T[q]),
+                                                                  np.ascontiguousarray(B)))
 
     def test_stack_matches_one_at_a_time(self, rng):
         X, B = rng.random((3, 7)), rng.random((9, 3, 7))
@@ -586,11 +682,25 @@ class TestNearest:
         metric = parse_metric(name)
         for d, n, spread in itertools.product((1, 3), (1, 5, 24), (0.05, 0.4)):
             copy, B = self._stack(rng, d, n, spread)
-            assert metric.nearest(copy, B) == 0.0
-            for X in (rng.random((d, n)), B[3] + 0.01):
-                expected = min(metric(X, Y) for Y in B)
-                assert metric.nearest(X, B) == expected, (d, n, spread)
-                assert metric.nearest(X, B[:1]) == metric(X, B[0])
+            T = np.stack([copy, rng.random((d, n)), B[3] + 0.01])
+            expected = [min(metric(X, Y) for Y in B) for X in T]
+            assert expected[0] == 0.0
+            assert np.array_equal(metric.nearest(T, B), expected), (d, n, spread)
+            for X, value in zip(T, expected):
+                assert np.array_equal(metric.nearest(X[None], B), [value])
+                assert np.array_equal(metric.nearest(X[None], B[:1]), [metric(X, B[0])])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_result_has_one_value_per_test_cloud(self, name):
+        nearest = parse_metric(name).nearest
+        rng = np.random.default_rng(5)
+        B = rng.random((7, 2, 4))
+        for Q in (0, 1, 13):
+            result = nearest(rng.random((Q, 2, 4)), B)
+            assert isinstance(result, np.ndarray) and result.shape == (Q,), Q
+            assert result.dtype == np.float64
+        with pytest.raises(ValueError, match="non-finite"):
+            nearest(np.zeros((0, 2, 4)), np.full((7, 2, 4), np.nan))
 
     @pytest.mark.parametrize("name", NAMES)
     def test_rejects_non_finite_and_mismatched_input(self, name):
@@ -599,13 +709,15 @@ class TestNearest:
         for bad in (np.nan, np.inf):
             X_bad, B_bad = X.copy(), B.copy()
             X_bad[1, 2], B_bad[3, 0, 1] = bad, bad
-            for args in ((X_bad, B), (X, B_bad)):
+            for args in ((X_bad[None], B), (X[None], B_bad)):
                 with pytest.raises(ValueError, match="non-finite"):
                     nearest(*args)
         with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(2, 4\)"):
-            nearest(X, np.ones((4, 2, 4)))
+            nearest(X[None], np.ones((4, 2, 4)))
+        with pytest.raises(ValueError, match="stack of test clouds"):
+            nearest(X, B)
         with pytest.raises(ValueError):
-            nearest(X, np.ones((0, 2, 3)))
+            nearest(X[None], np.ones((0, 2, 3)))
 
     def test_only_permutation_quotients_carry_a_scan(self):
         for name in METRIC_CHOICES:
