@@ -8,6 +8,9 @@ first access. So `canoncover bounds`, which is integer arithmetic, never
 loads numpy. `from canoncover import X`, `from canoncover import *` and
 `canoncover.<submodule>` give the same objects as eager imports would.
 
+`_ORIGIN` is the one name table: each public name is in its submodule's
+`__all__` and in `_ORIGIN`, and the package `__all__` is its sorted keys.
+
 `canoncover.coverage` is the function `coverage`, not the submodule of the
 same name, in every import order. So `import canoncover.coverage as cov`
 also binds the function: `import a.b as c` reads the package attribute
@@ -29,8 +32,7 @@ _ORIGIN = {name: module for module, names in {
                "generalization_rhs", "mantissa_exponent", "multiset_count", "sci_string"),
     "canon": ("CanonResult", "DegenerateSpectrumError", "canon_abs", "canon_c1",
               "canon_centralize", "canon_cinf", "canon_hilbert", "canon_hilbert_stack",
-              "canon_lexsort", "canon_skewness_sign", "canon_sort", "jacobi_eigh", "pca_align",
-              "sign_orbit"),
+              "canon_lexsort", "canon_skewness_sign", "canon_sort", "jacobi_eigh", "pca_align"),
     "choices": ("CANON_CHOICES", "METRIC_CHOICES", "SUITE_NAMES"),
     "coverage": ("CoverageReport", "LabelCoverageError", "NetResult", "coverage",
                  "exact_cover_number", "greedy_net", "two_ball_set"),
@@ -45,77 +47,7 @@ _ORIGIN = {name: module for module, names in {
     "verify": ("CheckResult", "run_suite"),
 }.items() for name in names}
 
-__all__ = [
-    "CANON_CHOICES",
-    "METRIC_CHOICES",
-    "SUITE_NAMES",
-    "TABLE_FORMULAS",
-    "CanonResult",
-    "CheckResult",
-    "CoverageReport",
-    "Dataset",
-    "DegenerateSpectrumError",
-    "HilbertParams",
-    "InternalConsistencyError",
-    "LabelCoverageError",
-    "LogValue",
-    "Metric",
-    "NetResult",
-    "PointCloud",
-    "TableEntry",
-    "apply_canon",
-    "as_exact_ratio",
-    "bound_group_cardinality",
-    "bound_hilbert_upper",
-    "bound_hypercube_exact",
-    "bound_lexsort_lower",
-    "bound_quotient_upper",
-    "bounds_table",
-    "brute_perm_quotient",
-    "canon_abs",
-    "canon_c1",
-    "canon_centralize",
-    "canon_cinf",
-    "canon_hilbert",
-    "canon_hilbert_stack",
-    "canon_lexsort",
-    "canon_skewness_sign",
-    "canon_sort",
-    "canonize_dataset",
-    "cell_of",
-    "centroid",
-    "cloud_indices",
-    "coverage",
-    "decode",
-    "digit_count",
-    "dist_frobenius",
-    "dist_inf",
-    "dist_mean_euclidean",
-    "encode",
-    "exact_cover_number",
-    "generalization_rhs",
-    "greedy_net",
-    "index_centroid",
-    "jacobi_eigh",
-    "mantissa_exponent",
-    "multiset_count",
-    "normalize_cloud",
-    "pca_align",
-    "parse_metric",
-    "perm_quotient_bottleneck",
-    "perm_quotient_pnorm",
-    "perm_quotient_sum",
-    "run_suite",
-    "sci_string",
-    "sign_orbit",
-    "sign_quotient",
-    "snap_to_centroids",
-    "synthetic_dataset",
-    "synthetic_split",
-    "translation_quotient",
-    "two_ball_set",
-    "wasserstein_1d",
-]
+__all__ = sorted(_ORIGIN)
 
 
 def __getattr__(name):

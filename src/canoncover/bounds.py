@@ -68,6 +68,7 @@ __all__ = [
     "TABLE_FORMULAS",
     "DEFAULT_TABLE_M",
     "DEFAULT_TABLE_N",
+    "EXACT_DIGITS",
     "mantissa_exponent",
     "sci_string",
     "digit_count",
@@ -78,6 +79,10 @@ __all__ = [
 # the CLI parser reads it without this module; pass m=None for the
 # limit-order variant.
 DEFAULT_TABLE_N = (250, 500, 750, 1000, 2000)
+
+# The CLI's JSON and a LogValue's repr show an exact integer only up to
+# this many digits; past it the JSON omits it and the repr gives its length.
+EXACT_DIGITS = 4096
 
 
 class LogValue:
@@ -150,8 +155,10 @@ class LogValue:
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return (f"LogValue(log10={self.log10!r}, exact={self.exact!r}, "
-                f"formula={self.formula!r})")
+        digits = self.digits
+        exact = (f"<{digits} digits>" if digits is not None and digits > EXACT_DIGITS
+                 else repr(self.exact))
+        return f"LogValue(log10={self.log10!r}, exact={exact}, formula={self.formula!r})"
 
     def __reduce__(self):
         return LogValue, tuple(self)
@@ -305,6 +312,17 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
 
     With m omitted, delta takes its large-m limit eps^d / 4. A finite m
     requires eps > 2^(-m-1).
+
+    K is computed at min(m, M) with M = (d + 1) * bitlen(b) + bitlen(d) + 2
+    for eps = a/b in lowest terms, so a huge m costs no more than M. That
+    gives the same K: as m grows K never rises, and it never falls below
+    K_inf = 2 b^d // a^d + 1, which it reaches by m = M. Proof: with
+    u = b / (a 2^(m+1)), Bernoulli's (1 - u)^d >= 1 - d u gives
+    2 / (eps - 2^-(m+1))^d - 2 b^d / a^d <= (2 b^d / a^d) d u / (1 - d u).
+    Once 2^(m+1) >= 4 d b^(d+1), d u <= 1 / (4 b^d), so that gap is below
+    1 / a^d, and K_inf - 2 b^d / a^d is at least 1 / a^d, as
+    K_inf a^d - 2 b^d is a positive integer. 2^(M+1) exceeds
+    8 d b^(d+1), one bit to spare.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
@@ -314,13 +332,16 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
     if m is not None:
         if m < 1:
             raise ValueError(f"curve order must be >= 1, got {m}")
-        shift = operator.index(m) + 1  # a numpy integer would overflow below
+        m = operator.index(m)  # a numpy integer would overflow below
+        cap = (d + 1) * den.bit_length() + operator.index(d).bit_length() + 2  # M above
+        shift = min(m, cap) + 1
         num, den = (num << shift) - den, den << shift
         if num <= 0:
             raise ValueError(
                 f"epsilon = {eps} must exceed 2^-(m+1) = {Fraction(1, 2**(m+1))}"
             )
     K = -(-2 * den**d // num**d)
+    assert m is None or m <= cap or K == 2 * eps.denominator**d // eps.numerator**d + 1
     return _logvalue(math.comb(n + K - 1, n), "hilbert-upper")
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "canon_cinf",
     "pca_align",
     "canon_skewness_sign",
-    "sign_orbit",
     "iter_sign_orbit",
     "jacobi_eigh",
 ]
@@ -295,17 +294,13 @@ def canon_skewness_sign(X) -> CanonResult:
     return CanonResult(cloud=signs[:, None] * X, signs=signs)
 
 
-def sign_orbit(X) -> list[np.ndarray]:
+def iter_sign_orbit(X) -> Iterator[np.ndarray]:
     """All 2^d row-sign copies of a cloud, in binary-counter order.
 
-    Bit i of the counter controls row i; element 0 is X itself.
+    Bit i of the counter controls row i; the first copy is X itself. The
+    copies are made one at a time, so a scan over them holds one copy in
+    memory rather than 2^d. X is checked before the first.
     """
-    return list(iter_sign_orbit(X))
-
-
-def iter_sign_orbit(X) -> Iterator[np.ndarray]:
-    """The copies of `sign_orbit`, made one at a time, so a scan over them
-    holds one copy in memory rather than 2^d. Checks X before the first."""
     X = _as_cloud(X)
     d = X.shape[0]
     if d > 20:

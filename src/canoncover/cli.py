@@ -25,9 +25,6 @@ import sys
 
 from .choices import CANON_CHOICES, DEFAULT_TABLE_M, METRIC_CHOICES, SUITE_NAMES
 
-# JSON carries a bound's exact integer only up to this many digits.
-_EXACT_JSON_DIGITS = 4096
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2; this surface reserves 2
@@ -193,7 +190,7 @@ def _cmd_bounds(args) -> int:
                 "value": bounds_mod.sci_string(e.value),
             }
             digits = e.value.digits
-            if digits is not None and digits <= _EXACT_JSON_DIGITS:
+            if digits is not None and digits <= bounds_mod.EXACT_DIGITS:
                 item["exact"] = e.value.exact
             items.append(item)
         _emit(json.dumps(items, sort_keys=True, indent=2), args.output)

@@ -89,6 +89,8 @@ def read_cloud(path) -> np.ndarray:
     parse as numbers); blank lines are skipped, and `#` comments are not
     accepted. Every row must have the same width and every value must be
     finite, or ValueError names the file (and the line, for a bad row).
+    A file that is not UTF-8 raises ValueError naming the file and the
+    byte offset, from the start of the file, of the first bad byte.
     The result is Fortran-ordered: each point's coordinates are adjacent.
 
     The file is read once, as bytes, and one `np.loadtxt` call parses that
@@ -103,12 +105,8 @@ def read_cloud(path) -> np.ndarray:
     if not data.isascii():
         try:
             data.decode("utf-8")
-        except UnicodeDecodeError:
-            # Raise the text reader's error, whose position counts from the
-            # start of its read chunk, so the message stays as it was.
-            with open(path, "r", encoding="utf-8") as fh:
-                fh.readlines()
-            raise
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     # A bare CR ends a line in text mode but not for loadtxt, and loadtxt
     # takes \x1c-\x1f around a cell for whitespace, which float() does not.
     bare_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")

@@ -58,7 +58,6 @@ class NetResult:
 
     center_indices: list[int]
     epsilon: float
-    kind: str = "cover"
 
     @property
     def size(self) -> int:

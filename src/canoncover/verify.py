@@ -312,7 +312,7 @@ def _check_sign_rowwise_vs_exhaustive(rng):
         for base, func in (("inf", metrics.dist_inf),
                            ("frobenius", metrics.dist_frobenius)):
             fast = metrics.sign_quotient(X, Y, base=base)
-            brute = min(func(S, Y) for S in canon.sign_orbit(X))
+            brute = min(func(S, Y) for S in canon.iter_sign_orbit(X))
             assert abs(fast - brute) <= _TOL, base
 
 
@@ -499,6 +499,18 @@ def _check_certified_powers(rng):
     assert certified == huge, (certified, huge)
 
 
+def _check_hilbert_order_cap(rng):
+    # bound_hilbert_upper computes K at a capped curve order; at and past
+    # the cap, K from the full order must equal it and the limit K_inf.
+    d, a, b = 3, 1, 6
+    cap = (d + 1) * b.bit_length() + d.bit_length() + 2
+    limit = 2 * b**d // a**d + 1
+    for m in (*range(cap, cap + 9), 10**6):
+        num, den = (a << m + 1) - b, b << m + 1
+        direct = -(-2 * den**d // num**d)
+        assert bounds.bound_hilbert_upper(1, d, f"{a}/{b}", m=m).exact == direct == limit, m
+
+
 def _check_quotient_below_hypercube(rng):
     for n in (2, 10, 100):
         for k in (1, 2, 3, 5):
@@ -554,6 +566,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("exact/log consistency", _check_exact_log_consistency),
         ("quotient below hypercube", _check_quotient_below_hypercube),
         ("certified power magnitudes match the exact integer", _check_certified_powers),
+        ("hilbert K past the capped order equals the direct formula", _check_hilbert_order_cap),
     ],
 }
 

@@ -259,7 +259,9 @@ class TestIntegerEpsilon:
 
     EPS = ("1/2", "1/3", "1/4", "1/6", "2/7", "3/8", "5/12", "1/20", "1/100",
            "99/100", "0.3", "1/1024", "1/2049", "0", "1", "5/4", "-1/6")
-    M = (None, 1, 2, 3, 5, 10, 0)
+    # Every order to 300 runs K through `bound_hilbert_upper`'s order cap,
+    # which is below 300 for each eps and d here.
+    M = (None, 0, *range(1, 301))
 
     @staticmethod
     def _outcome(func, *args, **kwargs):
@@ -269,7 +271,7 @@ class TestIntegerEpsilon:
             return str(exc)
         return value if isinstance(value, int) else value.exact
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 12])
     def test_grid_matches_fraction_formulas(self, d):
         for eps in self.EPS:
             for n in (1, 2, 3):
@@ -707,6 +709,14 @@ class TestNamedTuples:
         assert repr(TableEntry(formula="hilbert-upper", n=250, value=value)) == (
             "TableEntry(formula='hilbert-upper', n=250, "
             "value=LogValue(log10=2.5, exact=316, formula='quotient-upper'))")
+        # Past the CLI's 4096-digit JSON cutoff the repr gives the digit
+        # count, read without building the certified power 3^100001.
+        big = bound_lexsort_lower(50000, 3, "1/6")
+        assert repr(big) == ("LogValue(log10=47712.60259322097, exact=<47713 digits>, "
+                             "formula='lexsort-lower')")
+        assert big._power == (3, 100001)
+        assert f"exact={10 ** 4095}," in repr(bounds._logvalue(10 ** 4095, "q"))
+        assert "exact=<4097 digits>," in repr(bounds._logvalue(10 ** 4096, "q"))
 
     def test_equal_values_hash_equal(self):
         a, b = LogValue(1.5, None, "x"), LogValue(log10=1.5, exact=None, formula="x")

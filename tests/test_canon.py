@@ -20,9 +20,9 @@ from canoncover.canon import (
     canon_lexsort,
     canon_skewness_sign,
     canon_sort,
+    iter_sign_orbit,
     jacobi_eigh,
     pca_align,
-    sign_orbit,
 )
 from canoncover.hilbert import HilbertParams, cloud_indices, snap_to_centroids
 
@@ -494,23 +494,23 @@ class TestSkewnessSign:
 
 class TestSignOrbit:
     def test_d1_example(self):
-        orbit = sign_orbit(np.array([[1.0, 2.0]]))
+        orbit = list(iter_sign_orbit(np.array([[1.0, 2.0]])))
         assert len(orbit) == 2
         np.testing.assert_array_equal(orbit[0], [[1.0, 2.0]])
         np.testing.assert_array_equal(orbit[1], [[-1.0, -2.0]])
 
     def test_d2_size(self, rng):
-        assert len(sign_orbit(rng.random((2, 5)))) == 4
+        assert len(list(iter_sign_orbit(rng.random((2, 5))))) == 4
 
     def test_orbit_of_orbit_element_is_same_set(self, rng):
         X = rng.random((3, 4))
-        base = {tuple(map(tuple, Z)) for Z in sign_orbit(X)}
-        for Z in sign_orbit(X):
-            assert {tuple(map(tuple, W)) for W in sign_orbit(Z)} == base
+        base = {tuple(map(tuple, Z)) for Z in iter_sign_orbit(X)}
+        for Z in iter_sign_orbit(X):
+            assert {tuple(map(tuple, W)) for W in iter_sign_orbit(Z)} == base
 
     def test_rejects_large_d(self):
         with pytest.raises(ValueError):
-            sign_orbit(np.zeros((21, 2)))
+            list(iter_sign_orbit(np.zeros((21, 2))))
 
 
 def test_canon_result_defaults():

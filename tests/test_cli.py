@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -424,6 +425,17 @@ class TestBounds:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split() == ["10000000", "2.5e+155", "2.9e+2084",
                                     "3.7e+9542425", "4.4e+14313637"]
+
+    def test_huge_curve_order_prints_what_a_moderate_one_does(self, capsys):
+        # K stops changing past a small order, which bounds the work; built
+        # at the full order, m = 10^7 took seconds and 10^8 over a minute.
+        assert main(["bounds", "--n", "250", "--m", "64"]) == 0
+        expected = capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["bounds", "--n", "250", "--m", "1000000000"]) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr() == expected
+        assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
     def test_limit_order(self, capsys):
         assert main(["bounds", "--n", "250", "--m", "limit",

@@ -256,7 +256,6 @@ class TestGreedy:
         pts = [np.array([[0.0]]), np.array([[0.05]]), np.array([[0.09]])]
         net = greedy_net(pts, "inf", 0.1)
         assert net.size == 1 and net.center_indices == [0]
-        assert net.kind == "cover"
 
     def test_two_clusters(self):
         pts = [np.array([[0.0]]), np.array([[0.05]]),

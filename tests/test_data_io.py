@@ -310,6 +310,8 @@ _EDGE_FILES = [
     ("header-blank-second-line", b"x,y\n\n1,2\n3,4\n", True),
     ("no-trailing-newline", b"1,2\n3,4", False),
 ]
+# Offset of the bad byte in each non-UTF-8 edge file, from the start of the file.
+_BAD_BYTE_OFFSETS = {"bad-byte": 6, "bad-byte-past-8k": 12000}
 
 
 def _outcome(read, path):
@@ -448,13 +450,19 @@ class TestCloudCsv:
     def test_edge_files_match_text_reader(self, tmp_path, monkeypatch, name, data,
                                           line_parsed):
         # A file read as bytes gives the result, or the error text, of the
-        # line parser on a text-mode read; a non-UTF-8 byte keeps the text
-        # reader's wording, whose position counts from its 8 KiB chunk.
+        # line parser on a text-mode read. A non-UTF-8 byte gives an error
+        # that names the file and the byte's offset in the whole file (the
+        # text reader counts from the start of its 8 KiB chunk instead).
         # Only a bare CR line end or a \x1c-\x1f separator keeps an
         # otherwise good file off the loadtxt path.
         path = tmp_path / f"{name}.csv"
         path.write_bytes(data)
-        want = _outcome(_text_reader_reference, path)
+        if name in _BAD_BYTE_OFFSETS:
+            offset = _BAD_BYTE_OFFSETS[name]
+            want = (f"{path}: 'utf-8' codec can't decode byte {data[offset]:#x} "
+                    f"in position {offset}: invalid start byte")
+        else:
+            want = _outcome(_text_reader_reference, path)
         fallbacks = []
         line_parser = cloudio._parse_lines
         monkeypatch.setattr(cloudio, "_parse_lines",

@@ -13,7 +13,7 @@ from canoncover.canon import (
     canon_hilbert,
     canon_lexsort,
     canon_sort,
-    sign_orbit,
+    iter_sign_orbit,
 )
 from canoncover import metrics
 from canoncover.coverage import exact_cover_number, greedy_net
@@ -340,7 +340,7 @@ class TestSignQuotient:
             X, Y = rng.random((d, 5)), rng.random((d, 5))
             for base, dist in (("inf", dist_inf), ("frobenius", dist_frobenius),
                                ("mean-euclidean", dist_mean_euclidean)):
-                exhaustive = min(dist(Z, Y) for Z in sign_orbit(X))
+                exhaustive = min(dist(Z, Y) for Z in iter_sign_orbit(X))
                 assert abs(sign_quotient(X, Y, base=base) - exhaustive) <= TOL
 
     def test_values_do_not_depend_on_layout(self):
@@ -360,7 +360,7 @@ class TestSignQuotient:
                 assert sign_quotient(A, B, base="frobenius") == frobenius
             if d <= 6:
                 values = {sign_quotient(A, B, base="mean-euclidean") for A, B in mixes}
-                assert values == {min(dist_mean_euclidean(Z, Y) for Z in sign_orbit(X))}
+                assert values == {min(dist_mean_euclidean(Z, Y) for Z in iter_sign_orbit(X))}
 
     def test_rejects_large_d_and_bad_base(self):
         with pytest.raises(ValueError):
