@@ -20,23 +20,15 @@ power is built after all. A certified value's `exact` builds k**e on
 its first read and keeps it; the printed magnitudes, the floor settle
 and the CLI's JSON digit cutoff never read it.
 
-Magnitudes of built integers use integer arithmetic alone: the digit
-count comes from the bit length and one power-of-ten comparison, and
-the two-figure mantissa from one divmod by a power of ten, rounded half
-to even. Decimal(int) and str(int) are quadratic in the digit count and
-took about a minute on the million-digit values of `bounds --n 1000000`.
-
-Building that power of ten costs about as much as a full big-integer
-multiplication, so integers of at least 4096 bits first try a fast
-path: L = math.log10(x), digit count floor(L) + 1, and the two leading
-digits round(10 ** (L - floor(L) + 1)). CPython takes the log10 of an
-int from its correctly rounded 53-bit mantissa plus e * log10(2), which
-is within about 3e-9 of the truth while L < 1e7. The fast path declines,
-and the exact path answers, whenever that error could matter: L within
-1e-6 of an integer (a digit-count edge), 10 ** (frac + 1) within 1e-4
-of a half-integer (a rounding edge, exact halves included), or
-L >= 1e7. Both margins are over 100 times that error, so the two paths
-print the same bytes.
+Magnitudes of built integers use integer arithmetic alone. An integer
+x of at least 4096 bits is bracketed by its top bits, x >> s <= x / 2**s
+<= (x >> s) + 1, and `_power_bounds(2, s, 10)` turns 2**s into powers of
+ten, so its digit count and two leading digits come from two integers of
+a few hundred bits, certified the way the powers' are. Where the ends
+round apart, and for every smaller integer, they come from the bit length
+and one power-of-ten divmod of the exact integer, rounded half to even.
+Decimal(int) and str(int) are quadratic in the digit count and took
+about a minute on the million-digit values of `bounds --n 1000000`.
 
 epsilon is handled as an exact rational throughout: with float
 arithmetic, 1/(2 * float(1/6)) lands at 3.0000000000000004 and its
@@ -126,7 +118,7 @@ class LogValue:
             x = self._exact
             if x <= 0:
                 raise ValueError("mantissa/exponent form needs a positive value")
-            object.__setattr__(self, "_lead", _lead_fast(x) or _lead_exact(x))
+            object.__setattr__(self, "_lead", _lead(x))
         return self._lead
 
     def __setattr__(self, name, value):
@@ -227,6 +219,10 @@ def _logvalue(exact: int, formula: str) -> LogValue:
 # stays near 2**-_GUARD_BITS however large the exponent.
 _GUARD_BITS = 128
 
+# Values of at least this many bits are bracketed, not read exactly:
+# powers are left unbuilt and built integers are read from their top bits.
+_FAST_BITS = 4096
+
 
 def _power_bounds(k: int, e: int, radix: int) -> tuple[int, int, int]:
     """(lo, hi, shift) with lo * radix**shift <= k**e <= hi * radix**shift.
@@ -264,12 +260,10 @@ def _certified_power(k: int, e: int) -> tuple[float, tuple[int, int]] | None:
     if lo.bit_length() + shift < _FAST_BITS or float(hi) != mantissa:
         return None
     rounded = int(mantissa) << shift
-    lo, hi, shift = _power_bounds(k, e, 10)
-    lead, exponent = _lead_exact(lo)
-    if _lead_exact(hi) != (lead, exponent):
+    lead = _common_lead(*_power_bounds(k, e, 10))
+    if lead is None:
         return None
-    exponent += shift
-    return _settle(math.log10(rounded), lambda: exponent + 1), (lead, exponent)
+    return _settle(math.log10(rounded), lambda: lead[1] + 1), lead
 
 
 def _power_value(k: int, e: int, formula: str) -> LogValue:
@@ -289,6 +283,8 @@ def _power_value(k: int, e: int, formula: str) -> LogValue:
 def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
     """Covering bound for the permutation quotient: C(n + k^d - 1, n),
     k = ceil(1/(2 eps))."""
+    # Plain ints: with a numpy integer, k**d and math.comb overflow or raise.
+    n, d = operator.index(n), operator.index(d)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
@@ -299,6 +295,7 @@ def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
 def bound_lexsort_lower(n: int, d: int, eps) -> LogValue:
     """Covering lower bound for the lexicographically sorted image:
     k^((d-1)n + 1) with eps = 1/(2k)."""
+    n, d = operator.index(n), operator.index(d)
     if n < 2 or d < 2:
         raise ValueError("the lexsort lower bound needs n >= 2 and d >= 2")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
@@ -324,16 +321,17 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
     K_inf a^d - 2 b^d is a positive integer. 2^(M+1) exceeds
     8 d b^(d+1), one bit to spare.
     """
+    n, d = operator.index(n), operator.index(d)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     # With num / den = eps, or eps - 2^(-m-1), 1/(2 delta) = 2 den^d / num^d.
     num, den = eps.numerator, eps.denominator
     if m is not None:
+        m = operator.index(m)
         if m < 1:
             raise ValueError(f"curve order must be >= 1, got {m}")
-        m = operator.index(m)  # a numpy integer would overflow below
-        cap = (d + 1) * den.bit_length() + operator.index(d).bit_length() + 2  # M above
+        cap = (d + 1) * den.bit_length() + d.bit_length() + 2  # M above
         shift = min(m, cap) + 1
         num, den = (num << shift) - den, den << shift
         if num <= 0:
@@ -347,6 +345,7 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
 
 def bound_hypercube_exact(n: int, d: int, eps) -> LogValue:
     """Exact covering number of the raw hypercube: k^(n d) with eps = 1/(2k)."""
+    n, d = operator.index(n), operator.index(d)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
@@ -443,41 +442,6 @@ def _digits(x: int) -> tuple[int, int]:
     return lo, power // 10
 
 
-# The fast path's reach and margins (see the module docstring): integers
-# below _FAST_BITS bits, or with log10 at or past _FAST_LOG10_LIMIT, take
-# the exact path, and so does any log10 reading within _EDGE_MARGIN of a
-# digit-count edge or _HALF_MARGIN of a rounding edge.
-_FAST_BITS = 4096
-_FAST_LOG10_LIMIT = 1e7
-_EDGE_MARGIN = 1e-6
-_HALF_MARGIN = 1e-4
-
-
-def _fast_log10(x: int) -> float | None:
-    """math.log10(x) for a positive x of at least _FAST_BITS bits whose
-    floor is certain to be floor(log10 x); None where it is not."""
-    if x.bit_length() < _FAST_BITS:
-        return None
-    log10 = math.log10(x)
-    frac = log10 - math.floor(log10)
-    if log10 >= _FAST_LOG10_LIMIT or not _EDGE_MARGIN < frac < 1 - _EDGE_MARGIN:
-        return None
-    return log10
-
-
-def _lead_fast(x: int) -> tuple[int, int] | None:
-    """(lead, exponent) of `_lead_exact` read from math.log10(x), or None
-    where the reading is too close to an edge to be certain."""
-    log10 = _fast_log10(x)
-    if log10 is None:
-        return None
-    exponent = math.floor(log10)
-    scaled = 10.0 ** (log10 - exponent + 1)
-    if abs(scaled - math.floor(scaled) - 0.5) < _HALF_MARGIN:
-        return None
-    return round(scaled), exponent
-
-
 def _lead_exact(x: int) -> tuple[int, int]:
     """Two leading digits of a positive x, rounded half to even, and the
     exponent D - 1 of its D digits: x is about lead * 10**(exponent - 1).
@@ -492,20 +456,44 @@ def _lead_exact(x: int) -> tuple[int, int]:
     return lead, digits - 1
 
 
-def digit_count(x: int) -> int:
-    """Decimal digits of a positive integer.
+def _common_lead(lo: int, hi: int, shift: int) -> tuple[int, int] | None:
+    """`_lead_exact` of every integer in [lo, hi] * 10**shift, for
+    0 < lo <= hi; None where lo and hi round apart. Both the digit count
+    and rounding half to even are monotone, so ends that agree certify
+    everything between them."""
+    lead, exponent = _lead_exact(lo)
+    if _lead_exact(hi) != (lead, exponent):
+        return None
+    return lead, exponent + shift
 
-    From math.log10 where the fast path is certain of its floor, and
-    otherwise from the bit length and one power-of-ten comparison, so it
+
+def _top_bits_lead(x: int) -> tuple[int, int] | None:
+    """`_lead_exact` of an x of over _GUARD_BITS bits, read from its top
+    _GUARD_BITS bits, x >> s <= x / 2**s <= (x >> s) + 1, with 2**s
+    bracketed by `_power_bounds`; None where that bracket's ends round
+    apart."""
+    s = x.bit_length() - _GUARD_BITS
+    top = x >> s
+    lo, hi, shift = _power_bounds(2, s, 10)
+    return _common_lead(top * lo, (top + 1) * hi, shift)
+
+
+def _lead(x: int) -> tuple[int, int]:
+    """`_lead_exact` of a positive x: from its top bits from _FAST_BITS
+    bits on, wherever they certify it, and read exactly otherwise."""
+    return (x.bit_length() >= _FAST_BITS and _top_bits_lead(x)) or _lead_exact(x)
+
+
+def digit_count(x: int) -> int:
+    """Decimal digits of a positive integer, from the same bracket or
+    exact read as its two leading digits (`mantissa_exponent`), so it
     works past the interpreter's int-to-str cap (near 4300 digits); these
     values reach 10^2862 and beyond.
     """
+    x = operator.index(x)
     if x <= 0:
         raise ValueError("digit count needs a positive integer")
-    log10 = _fast_log10(x)
-    if log10 is None:
-        return _digits(x)[0]
-    return math.floor(log10) + 1
+    return _lead(x)[1] + 1
 
 
 def mantissa_exponent(value: LogValue) -> tuple[float, int]:
@@ -515,8 +503,8 @@ def mantissa_exponent(value: LogValue) -> tuple[float, int]:
     half to even as f"{Decimal(x):.1E}" does under the default context,
     but independent of the caller's decimal context. A certified power
     carries them unbuilt. A built integer of at least 4096 bits reads
-    them from math.log10 unless the reading lies near a digit-count or
-    rounding edge; every other case takes one divmod by 10**(D - 2) and
+    them from an exact bracket of its top bits unless the bracket's ends
+    round apart; every other case takes one divmod by 10**(D - 2) and
     its remainder. Falls back to the log10 field when there is no exact
     integer.
     """

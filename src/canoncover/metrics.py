@@ -15,8 +15,8 @@ on small instances; it keeps its own broadcast cost.
 `parse_metric` gives the two permutation quotients a nearest-candidate
 scan, `Metric.nearest`, that takes a stack of Q test clouds and returns,
 for each, the exact minimum over a stack of candidates while solving few
-of them. It prunes in two tiers. Tier 1 is `Metric.lower_bound`, batched
-over the test stack: sorting is an exact 1-d isometry, so the gaps W_a
+of them. It prunes in two tiers. Tier 1, `_tier1`, is batched over the
+test stack: sorting is an exact 1-d isometry, so the gaps W_a
 between the sorted per-axis marginals bound both quotients from below,
 as max_a Winf_a for perm-bottleneck and ||(W1_a)_a||_2 / n for perm-sum,
 which dominates the centroid bound of Rubner, Tomasi & Guibas (IJCV
@@ -330,8 +330,6 @@ def brute_perm_quotient(X, Y, base) -> float:
 class Metric:
     """A named distance function on equally shaped clouds.
 
-    `lower_bound(X, B)`, when set, maps one d x n cloud X and a stack B
-    of C clouds (C x d x n) to C values, each at most func(X, B[c]).
     `nearest(T, B)`, when set, maps a stack T of Q test clouds
     (Q x d x n, Q >= 0) to Q values, min over c of func(T[q], B[c]) bit
     for bit, without solving every candidate (see the module docstring
@@ -340,7 +338,6 @@ class Metric:
 
     name: str
     func: Callable[[np.ndarray, np.ndarray], float]
-    lower_bound: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     nearest: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, X, Y) -> float:
@@ -395,11 +392,6 @@ def _tier1(marginal_bound, T, B) -> np.ndarray:
         gaps = B - T[q:q + per_chunk, None]
         lower[q:q + per_chunk] = marginal_bound(np.abs(gaps, out=gaps))
     return lower
-
-
-def _lower_bound(marginal_bound, X, B) -> np.ndarray:
-    """Tier 1 of one d x n cloud X against a stack B: (C,)."""
-    return _tier1(marginal_bound, np.asarray(X, dtype=float)[None], B)[0]
 
 
 def _perm_sum_marginal_bound(gaps) -> np.ndarray:
@@ -500,17 +492,12 @@ def _nearest_perm(base, marginal_bound, reduced_bound, solve, T, B) -> np.ndarra
                      for q, X in enumerate(T)])
 
 
-def _pruned_scan(base, marginal_bound, reduced_bound, solve) -> dict:
-    return {"lower_bound": functools.partial(_lower_bound, marginal_bound),
-            "nearest": functools.partial(_nearest_perm, base, marginal_bound,
-                                         reduced_bound, solve)}
-
-
-_PRUNED_SCANS: dict[str, dict] = {
-    "perm-sum": _pruned_scan("euclidean", _perm_sum_marginal_bound,
-                             _reduced_cost_sum_bound, _assignment_mean),
-    "perm-bottleneck": _pruned_scan("chebyshev", _perm_bottleneck_marginal_bound,
-                                    _reduced_cost_max_bound, _assignment_max),
+_PRUNED_SCANS: dict[str, Callable] = {
+    "perm-sum": functools.partial(_nearest_perm, "euclidean", _perm_sum_marginal_bound,
+                                  _reduced_cost_sum_bound, _assignment_mean),
+    "perm-bottleneck": functools.partial(_nearest_perm, "chebyshev",
+                                         _perm_bottleneck_marginal_bound,
+                                         _reduced_cost_max_bound, _assignment_max),
 }
 
 
@@ -523,4 +510,4 @@ def parse_metric(spec) -> Metric:
     name = str(spec).strip().lower()
     if name not in _REGISTRY:
         raise ValueError(f"unknown metric {spec!r}; choices: {', '.join(METRIC_CHOICES)}")
-    return Metric(name=name, func=_REGISTRY[name], **_PRUNED_SCANS.get(name, {}))
+    return Metric(name=name, func=_REGISTRY[name], nearest=_PRUNED_SCANS.get(name))

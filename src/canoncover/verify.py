@@ -275,8 +275,8 @@ def _check_quotient_sandwich(rng):
 
 
 def _check_batched_tier1(rng):
-    # The whole test stack fits one chunk; lower_bound makes a chunk of
-    # one cloud. Both layouts.
+    # The whole test stack fits one chunk, against one chunk per test
+    # cloud. Both layouts.
     for i in range(10):
         d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
         T, B = rng.random((int(rng.integers(1, 9)), d, n)), rng.random((12, d, n))
@@ -284,9 +284,9 @@ def _check_batched_tier1(rng):
             T, B = np.asfortranarray(T.round(1)), np.asfortranarray(B.round(1))
         for name, _, _, marginal_bound in _PERM_QUOTIENTS:
             batched = metrics._tier1(marginal_bound, T, B)
-            lower_bound = metrics.parse_metric(name).lower_bound
             for q, X in enumerate(T):
-                assert np.array_equal(batched[q], lower_bound(X, B)), (name, i, q)
+                single = metrics._tier1(marginal_bound, X[None], B)[0]
+                assert np.array_equal(batched[q], single), (name, i, q)
 
 
 def _check_reduced_cost_bound(rng):
@@ -402,7 +402,7 @@ def _check_nearest_in_later_block(rng):
                   for _ in range(per_block + 4)])
     X = B[-1][:, rng.permutation(n)]
     metric = metrics.parse_metric("perm-sum")
-    lower = metric.lower_bound(X, B)
+    lower = metrics._tier1(metrics._perm_sum_marginal_bound, X[None], B)[0]
     assert np.all(lower == lower[0]), "tier 1 separates the candidates"
     full = [metric(X, Y) for Y in B]
     assert int(np.argmin(full)) == len(B) - 1 and full[-1] == 0.0, full
@@ -491,12 +491,34 @@ def _check_certified_powers(rng):
                 certified += value._power is not None
                 x = value.exact
                 huge += x.bit_length() >= bounds._FAST_BITS
-                lead, exponent = bounds._lead_exact(x)
                 assert value.log10 == bounds._logvalue(x, value.formula).log10, key
-                assert value.digits == exponent + 1, key
-                expected = (1.0, exponent + 1) if lead == 100 else (lead / 10, exponent)
-                assert bounds.mantissa_exponent(value) == expected, key
+                assert _magnitudes(value) == _exact_magnitudes(x), key
     assert certified == huge, (certified, huge)
+
+
+def _check_built_integers(rng):
+    # Built integers of at least 4096 bits read their digit count and two
+    # leading digits from a bracket of their top bits; both must equal
+    # what the exact path reads from the integer. These binomials have
+    # 18k-73k bits and build in milliseconds.
+    for n in (300, 1000):
+        for value in (bounds.bound_quotient_upper(n, 12, "1/100"),
+                      bounds.bound_hilbert_upper(n, 12, "1/100", m=bounds.DEFAULT_TABLE_M)):
+            key = (value.formula, n)
+            x = value.exact
+            assert x.bit_length() >= bounds._FAST_BITS, key
+            assert bounds.digit_count(x) == value.digits, key
+            assert _magnitudes(value) == _exact_magnitudes(x), key
+
+
+def _magnitudes(value):
+    return value.digits, bounds.mantissa_exponent(value)
+
+
+def _exact_magnitudes(x):
+    """`_magnitudes` of x as the exact path reads them from the integer."""
+    lead, exponent = bounds._lead_exact(x)
+    return exponent + 1, (1.0, exponent + 1) if lead == 100 else (lead / 10, exponent)
 
 
 def _check_hilbert_order_cap(rng):
@@ -566,6 +588,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("exact/log consistency", _check_exact_log_consistency),
         ("quotient below hypercube", _check_quotient_below_hypercube),
         ("certified power magnitudes match the exact integer", _check_certified_powers),
+        ("built-integer magnitudes match the exact integer", _check_built_integers),
         ("hilbert K past the capped order equals the direct formula", _check_hilbert_order_cap),
     ],
 }

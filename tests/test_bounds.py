@@ -4,10 +4,13 @@ import copy
 import math
 import pickle
 import random
+import time
 from decimal import ROUND_UP, Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -474,30 +477,33 @@ class TestFormattingAgainstDecimal:
             assert digit_count(value.exact) == 54
 
 
-def _fast_matches_exact(xs, monkeypatch) -> int:
-    """Every x through the public formatters with the log10 fast path on,
-    then forced onto the exact path; returns how many x the fast path
+def _bracket_matches_exact(xs, monkeypatch) -> int:
+    """Every x through the public formatters with the top-bits bracket on,
+    then forced onto the exact path; returns how many x the bracket
     answered itself."""
     xs = list(xs)
     fast = [(mantissa_exponent(LogValue(0.0, x, "x")), digit_count(x)) for x in xs]
-    taken = sum(bounds._lead_fast(x) is not None for x in xs)
+    taken = sum(x.bit_length() >= 4096 and bounds._top_bits_lead(x) is not None for x in xs)
     with monkeypatch.context() as patch:
         patch.setattr(bounds, "_FAST_BITS", math.inf)
+        patch.setattr(bounds, "_top_bits_lead", None)  # any call would raise
         exact = [(mantissa_exponent(LogValue(0.0, x, "x")), digit_count(x)) for x in xs]
-        assert all(bounds._fast_log10(x) is None for x in xs)
     for x, got, want in zip(xs, fast, exact):
         assert got == want, (x.bit_length(), got, want)
     return taken
 
 
 class TestLog10FastPath:
+    """The top-bits bracket that replaced the math.log10 fast path, on
+    the same input families, against the exact path."""
+
     # 10**1234 is the first power of ten past 2**4096.
     J = (1234, 1500, 4301, 30103)
 
     def test_random_integers(self, monkeypatch):
         rng = random.Random(20261019)
         xs = [rng.getrandbits(rng.randint(4096, 300000)) | 1 << 4095 for _ in range(300)]
-        assert _fast_matches_exact(xs, monkeypatch) >= 0.99 * len(xs)
+        assert _bracket_matches_exact(xs, monkeypatch) == len(xs)
 
     def test_powers_over_a_stride_of_exponents(self, monkeypatch):
         xs = {}
@@ -505,9 +511,9 @@ class TestLog10FastPath:
             first = math.ceil(4096 / math.log2(k))
             xs[k] = [k ** e for e in range(first, first + 100000 // k, 1999 // k)]
         # Powers of ten sit on a digit-count edge: the exact path answers.
-        assert _fast_matches_exact(xs.pop(10), monkeypatch) == 0
+        assert _bracket_matches_exact(xs.pop(10), monkeypatch) == 0
         others = [x for k in xs for x in xs[k]]
-        assert _fast_matches_exact(others, monkeypatch) >= 0.99 * len(others)
+        assert _bracket_matches_exact(others, monkeypatch) == len(others)
 
     def test_edge_families(self, monkeypatch):
         xs = []
@@ -517,29 +523,64 @@ class TestLog10FastPath:
             xs += [lead * p for lead in range(10, 100)]
             xs += [(10 * lead + 5) * p // 10 + delta
                    for lead in range(10, 100) for delta in (-1, 0, 1)]
-        _fast_matches_exact(xs, monkeypatch)
+        _bracket_matches_exact(xs, monkeypatch)
 
     def test_declines_digit_count_and_rounding_edges(self):
         for j in self.J:
             p = 10 ** j
             for x in (p - 1, p, p + 1):
-                assert bounds._fast_log10(x) is None and bounds._lead_fast(x) is None, j
+                assert bounds._top_bits_lead(x) is None, j
             for lead in range(10, 100):
-                assert bounds._lead_fast((10 * lead + 5) * p // 10) is None, (lead, j)
+                assert bounds._top_bits_lead((10 * lead + 5) * p // 10) is None, (lead, j)
                 if lead > 10:
-                    assert bounds._lead_fast(lead * p) == (lead, j + 1), (lead, j)
+                    assert bounds._top_bits_lead(lead * p) == (lead, j + 1), (lead, j)
 
-    def test_reach(self):
-        # Below 4096 bits, and at log10 >= 1e7, only the exact path answers.
-        assert bounds._fast_log10(3 << 4093) is None
-        assert bounds._fast_log10(3 << 4094) is not None
-        assert bounds._fast_log10(1 << 33_000_000) is not None
-        assert bounds._fast_log10(1 << 33_300_000) is None
+    def test_reach(self, monkeypatch):
+        # The bracket starts at 4096 bits and has no upper reach: a
+        # 12-million-digit integer takes milliseconds (18 s through the
+        # exact path).
+        calls, bracket = [], bounds._top_bits_lead
+        monkeypatch.setattr(bounds, "_top_bits_lead", lambda x: calls.append(x) or bracket(x))
+        assert digit_count(3 << 4093) == 1233 and digit_count(3 << 4094) == 1233
+        assert calls == [3 << 4094]
+        x = 3 << 40_000_000
+        start = time.perf_counter()
+        assert digit_count(x) == 12041201
+        assert mantissa_exponent(LogValue(0.0, x, "x")) == (2.0, 12041200)
+        assert time.perf_counter() - start < 1.0
 
     def test_every_table_cell_at_large_n(self, monkeypatch):
         xs = [e.value.exact for e in bounds_table(n_list=(2000, 10000, 50000))]
         huge = sum(x.bit_length() >= 4096 for x in xs)
-        assert huge >= 6 and _fast_matches_exact(xs, monkeypatch) == huge
+        assert huge >= 6 and _bracket_matches_exact(xs, monkeypatch) == huge
+
+
+class TestNumpyIntegerArguments:
+    def test_values_equal_plain_int_ones(self):
+        # With numpy integers, k**d and math.comb ran in fixed width:
+        # silently wrong values, AttributeError or OverflowError.
+        calculators = (bound_quotient_upper, bound_lexsort_lower, bound_hypercube_exact,
+                       bound_hilbert_upper, partial(bound_hilbert_upper, m=10))
+        for cast in (np.int64, np.int32):
+            for n, d in ((3, 12), (300, 3), (2000, 7)):
+                for calc in calculators:
+                    want = calc(n, d, "1/100")
+                    for args in ((cast(n), d), (n, cast(d)), (cast(n), cast(d))):
+                        got = calc(*args, "1/100")
+                        assert got == want and type(got.exact) is int, (calc, n, d, args)
+                        assert got.digits == want.digits
+            assert bound_hilbert_upper(3, 12, "1/100", m=cast(10)) == calculators[-1](3, 12, "1/100")
+            assert digit_count(cast(12345)) == 5
+
+    def test_non_integers_are_rejected(self):
+        for calc in (bound_quotient_upper, bound_lexsort_lower, bound_hypercube_exact,
+                     bound_hilbert_upper):
+            with pytest.raises(TypeError):
+                calc(3.0, 3, "1/6")
+            with pytest.raises(TypeError):
+                calc(3, np.float64(3), "1/6")
+        with pytest.raises(TypeError):
+            digit_count(10.0)
 
 
 def _threshold(k: int) -> int:

@@ -148,14 +148,16 @@ def _counting(monkeypatch):
 
 
 def _tier1_solves(train, test, name):
-    """Exact solves of a scan pruned by `Metric.lower_bound` alone: each
-    test item solves candidates in bound order until the next bound
-    exceeds the best value so far."""
+    """Exact solves of a scan pruned by tier 1 alone: each test item
+    solves candidates in bound order until the next bound exceeds the
+    best value so far."""
     metric = parse_metric(name)
+    marginal_bound = {"perm-sum": metrics._perm_sum_marginal_bound,
+                      "perm-bottleneck": metrics._perm_bottleneck_marginal_bound}[name]
     stack = np.stack([item.coords for item in train.items])
     solves = 0
     for t in test.items:
-        lower = metric.lower_bound(t.coords, stack)
+        lower = metrics._tier1(marginal_bound, t.coords[None], stack)[0]
         best = np.inf
         for k in np.argsort(lower, kind="stable"):
             if lower[k] > best * metrics._PRUNE_SLACK:
@@ -192,7 +194,7 @@ class TestBoundPrunedScan:
         base = parse_metric("mean-euclidean")
         calls = []
         metric = dataclasses.replace(base, func=lambda X, Y: calls.append(1) or base(X, Y))
-        assert metric.lower_bound is None and metric.nearest is None
+        assert metric.nearest is None
         coverage(train, test, metric)
         assert len(calls) == len(train) * len(test)
 

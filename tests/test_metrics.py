@@ -1,5 +1,6 @@
 """Base metrics, quotient metrics, solvers vs brute force, isometries."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -490,9 +491,19 @@ class TestQuotientLowerBound:
                 assert perm_quotient_pnorm(x, y, p=p) <= canonized + TOL
 
 
+MARGINAL_BOUNDS = {"perm-sum": metrics._perm_sum_marginal_bound,
+                   "perm-bottleneck": metrics._perm_bottleneck_marginal_bound}
+
+
+def _lower_bound(name, X, B):
+    """Tier 1 of the permutation quotient `name` for one cloud X against a
+    stack B: (C,)."""
+    return metrics._tier1(MARGINAL_BOUNDS[name], X[None], B)[0]
+
+
 class TestMarginalCentroidLowerBound:
-    """lower_bound <= quotient <= canonized: sorted marginals and
-    centroids bound the permutation quotients from below."""
+    """tier 1 <= quotient <= canonized: sorted marginals and centroids
+    bound the permutation quotients from below."""
 
     PAIRS = (("perm-sum", "mean-euclidean", dist_mean_euclidean),
              ("perm-bottleneck", "inf", dist_inf))
@@ -502,7 +513,7 @@ class TestMarginalCentroidLowerBound:
             d, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
             X, Y = rng.random((d, n)), rng.random((d, n))
             for name, base, dist in self.PAIRS:
-                lower = parse_metric(name).lower_bound(X, Y[None])
+                lower = _lower_bound(name, X, Y[None])
                 assert lower.shape == (1,)
                 quotient = brute_perm_quotient(X, Y, base)
                 assert lower[0] <= quotient + TOL, name
@@ -517,21 +528,21 @@ class TestMarginalCentroidLowerBound:
         for _ in range(100):
             n = int(rng.integers(1, 12))
             X, Y = rng.random((1, n)), rng.random((1, n))
-            assert abs(parse_metric("perm-sum").lower_bound(X, Y[None])[0]
+            assert abs(_lower_bound("perm-sum", X, Y[None])[0]
                        - perm_quotient_sum(X, Y)) <= TOL
-            assert (parse_metric("perm-bottleneck").lower_bound(X, Y[None])[0]
+            assert (_lower_bound("perm-bottleneck", X, Y[None])[0]
                     == perm_quotient_bottleneck(X, Y))
 
     def test_l2_marginal_reaches_centroid_gap(self):
         # Both axes shift by 1: each marginal gap is 1, the centroid gap
         # sqrt(2), and ||(W1_a)_a||_2 / n = sqrt(32) / 4 = sqrt(2) exactly.
         X = np.zeros((2, 4))
-        assert parse_metric("perm-sum").lower_bound(X, (X + 1.0)[None])[0] == np.sqrt(2.0)
+        assert _lower_bound("perm-sum", X, (X + 1.0)[None])[0] == np.sqrt(2.0)
 
     def test_l2_marginal_dominates_max_marginal(self, rng):
         # The bound it replaced, max_a W1_a / n, pointwise and bit for bit;
         # at d = 1 the two are equal.
-        bound = parse_metric("perm-sum").lower_bound
+        bound = functools.partial(_lower_bound, "perm-sum")
         for _ in range(200):
             d, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
             X, B = rng.random((d, n)), rng.random((6, d, n))
@@ -544,7 +555,7 @@ class TestMarginalCentroidLowerBound:
                 assert np.array_equal(new, old)
 
     def test_l2_marginal_below_exact_within_slack(self, rng):
-        bound = parse_metric("perm-sum").lower_bound
+        bound = functools.partial(_lower_bound, "perm-sum")
         for i in range(200):
             d, n = int(rng.integers(1, 5)), int(rng.integers(1, 65))
             X, Y = _tied_pair(rng, d, n, i)
@@ -560,26 +571,23 @@ class TestMarginalCentroidLowerBound:
         if chunk is not None:
             monkeypatch.setattr(metrics, "_TIER1_CHUNK", chunk)
         rng = np.random.default_rng(77)
-        bounds = {"perm-sum": metrics._perm_sum_marginal_bound,
-                  "perm-bottleneck": metrics._perm_bottleneck_marginal_bound}
         for i in range(20):
             d, n = int(rng.integers(1, 5)), int(rng.integers(1, 40))
             T, B = rng.random((int(rng.integers(1, 12)), d, n)), rng.random((9, d, n))
             if i % 2:
                 T, B = np.asfortranarray(T.round(1)), np.asfortranarray(B.round(1))
-            for name, marginal_bound in bounds.items():
+            for name, marginal_bound in MARGINAL_BOUNDS.items():
                 batched = metrics._tier1(marginal_bound, T, B)
                 assert batched.shape == (len(T), len(B))
-                lower_bound = parse_metric(name).lower_bound
                 for q in range(len(T)):
-                    assert np.array_equal(batched[q], lower_bound(T[q], B)), (i, name, q)
-                    assert np.array_equal(batched[q], lower_bound(np.ascontiguousarray(T[q]),
-                                                                  np.ascontiguousarray(B)))
+                    assert np.array_equal(batched[q], _lower_bound(name, T[q], B)), (i, name, q)
+                    assert np.array_equal(batched[q], _lower_bound(
+                        name, np.ascontiguousarray(T[q]), np.ascontiguousarray(B)))
 
     def test_stack_matches_one_at_a_time(self, rng):
         X, B = rng.random((3, 7)), rng.random((9, 3, 7))
         for name, _, _ in self.PAIRS:
-            bound = parse_metric(name).lower_bound
+            bound = functools.partial(_lower_bound, name)
             stacked = bound(X, B)
             assert stacked.shape == (9,)
             for c in range(9):
@@ -587,9 +595,9 @@ class TestMarginalCentroidLowerBound:
 
     def test_only_permutation_quotients_carry_a_bound(self):
         for name in METRIC_CHOICES:
-            has_bound = parse_metric(name).lower_bound is not None
-            assert has_bound == (name in ("perm-sum", "perm-bottleneck")), name
-        assert parse_metric(dist_inf).lower_bound is None
+            has_bound = parse_metric(name).nearest is not None
+            assert has_bound == (name in MARGINAL_BOUNDS), name
+        assert parse_metric(dist_inf).nearest is None
 
 
 def _tied_pair(rng, d, n, i):
