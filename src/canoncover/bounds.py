@@ -289,7 +289,7 @@ def bound_quotient_upper(n: int, d: int, eps) -> LogValue:
         raise ValueError("n and d must be >= 1")
     eps = _check_eps_open_unit(as_exact_ratio(eps))
     k = -(-eps.denominator // (2 * eps.numerator))
-    return _logvalue(math.comb(n + k**d - 1, n), "quotient-upper")
+    return _logvalue(multiset_count(n, k**d), "quotient-upper")
 
 
 def bound_lexsort_lower(n: int, d: int, eps) -> LogValue:
@@ -340,7 +340,7 @@ def bound_hilbert_upper(n: int, d: int, eps, m: int | None = None) -> LogValue:
             )
     K = -(-2 * den**d // num**d)
     assert m is None or m <= cap or K == 2 * eps.denominator**d // eps.numerator**d + 1
-    return _logvalue(math.comb(n + K - 1, n), "hilbert-upper")
+    return _logvalue(multiset_count(n, K), "hilbert-upper")
 
 
 def bound_hypercube_exact(n: int, d: int, eps) -> LogValue:

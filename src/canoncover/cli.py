@@ -53,50 +53,38 @@ def _parse_threads(raw: str) -> int:
     return value
 
 
-# Entries per C-encoded block of a flat number list in `_sidecar_json`.
+# Entries per block of the perm that `_write_sidecar` streams.
 _SIDECAR_BLOCK = 4096
 
 
-def _number_list_lines(value) -> list[str] | None:
-    """A non-empty flat list of numbers as indented JSON lines, one string
-    per block of `_SIDECAR_BLOCK` entries; None for any other value."""
-    if not isinstance(value, (list, tuple)) or not value:
-        return None
-    blocks = []
-    for start in range(0, len(value), _SIDECAR_BLOCK):
-        body = json.dumps(value[start:start + _SIDECAR_BLOCK], separators=(",", ":"))[1:-1]
-        if any(c in body for c in '[{"'):
-            return None
-        blocks.append(body.replace(",", ",\n    "))
-    return blocks
+def _write_sidecar(path: str, record: dict) -> None:
+    """Write json.dumps(record, sort_keys=True, indent=2) and a newline to
+    `path`, byte for byte.
 
-
-def _sidecar_json(record: dict) -> str:
-    """json.dumps(record, sort_keys=True, indent=2) of a non-empty record,
-    byte for byte.
-
-    `indent` sends the standard library to its pure-Python encoder, which
-    is slow on a perm of many thousand entries. So each top-level value
-    that is a flat, non-empty list of numbers is C-encoded compactly, a
-    block at a time, and each block is broken into indented lines with one
-    replace; every other value takes the indented encoder. The pieces are
-    joined once, so the text is built in memory about twice at most.
+    Only a `perm` grows with n; the other values of a canonization record
+    are a few numbers at most. `indent` sends the standard library to its
+    pure-Python encoder, which is slow on a perm of many thousand entries,
+    so a non-empty perm is streamed instead: the record's other keys
+    (input, method and output, which all sort before it) go through
+    json.dumps without its closing brace, and the perm follows one
+    C-encoded block of `_SIDECAR_BLOCK` entries at a time, each broken
+    into indented lines with one replace. The whole text is never held
+    in memory.
     """
-    pieces = []
-    for key in sorted(record):
-        pieces.append(("{\n  " if not pieces else ",\n  ") + json.dumps(key) + ": ")
-        blocks = _number_list_lines(record[key])
-        if blocks is None:
-            pieces.append(json.dumps(record[key], sort_keys=True, indent=2).replace("\n", "\n  "))
-            continue
-        pieces.append("[\n    ")
-        for i, lines in enumerate(blocks):
-            if i:
-                pieces.append(",\n    ")
-            pieces.append(lines)
-        pieces.append("\n  ]")
-    pieces.append("\n}")
-    return "".join(pieces)
+    perm = record.get("perm")
+    with open(path, "w", encoding="utf-8") as fh:
+        if not perm:
+            fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+            return
+        head = json.dumps({k: v for k, v in record.items() if k != "perm"},
+                          sort_keys=True, indent=2)
+        fh.write(head[:-2] + ',\n  "perm": [\n    ')
+        for start in range(0, len(perm), _SIDECAR_BLOCK):
+            if start:
+                fh.write(",\n    ")
+            block = json.dumps(perm[start:start + _SIDECAR_BLOCK], separators=(",", ":"))
+            fh.write(block[1:-1].replace(",", ",\n    "))
+        fh.write("\n  ]\n}\n")
 
 
 def _cmd_canonize(args) -> int:
@@ -108,9 +96,7 @@ def _cmd_canonize(args) -> int:
     write_cloud(args.output, cloud)
     record = {"input": args.input, "output": args.output, **record}
     sidecar = args.output + ".group.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        fh.write(_sidecar_json(record))
-        fh.write("\n")
+    _write_sidecar(sidecar, record)
     print(f"wrote {args.output} and {sidecar}")
     return 0
 

@@ -113,6 +113,17 @@ def _pair(X, Y) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs flattened to finite float vectors of one length."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cloud contains non-finite entries")
+    return x, y
+
+
 def dist_inf(X, Y) -> float:
     """Elementwise max-norm distance: max |X_ij - Y_ij|."""
     X, Y = _pair(X, Y)
@@ -147,12 +158,7 @@ def wasserstein_1d(x, y, p=2) -> float:
     Equals the permutation-quotient distance min over pi of ||x - pi y||_p,
     because ascending sort is an isometry for one-dimensional p-norms.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("cloud contains non-finite entries")
+    x, y = _vector_pair(x, y)
     diff = np.abs(np.sort(x) - np.sort(y))
     if p == 1:
         return _finalize(np.sum(diff))
@@ -228,12 +234,7 @@ def perm_quotient_pnorm(x, y, p=2) -> float:
 
     Independent of wasserstein_1d: no sorting involved.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("cloud contains non-finite entries")
+    x, y = _vector_pair(x, y)
     cost = np.abs(x[:, None] - y[None, :])
     if p in (np.inf, "inf"):
         return _assignment_max(cost)

@@ -561,7 +561,7 @@ SUITES: dict[str, list[tuple[str, object]]] = {
         ("symmetry and triangle inequality", _check_metric_axioms),
         ("solvers match brute force", _check_solvers_against_brute),
         ("marginal lower bound <= quotient <= canonized", _check_quotient_sandwich),
-        ("batched marginal bound equals per-cloud lower_bound", _check_batched_tier1),
+        ("batched tier-1 bound equals one-cloud tier 1", _check_batched_tier1),
         ("reduced-cost bound <= quotient", _check_reduced_cost_bound),
         ("sign rowwise equals exhaustive", _check_sign_rowwise_vs_exhaustive),
     ],

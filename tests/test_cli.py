@@ -86,59 +86,64 @@ class TestCanonize:
     @pytest.mark.parametrize("method", ["sort", "lexsort", "hilbert:6", "centralize",
                                         "pca-skew"])
     def test_sidecar_bytes_match_indented_json(self, method, tmp_path, capsys):
-        # The sidecar writer's fast path against the standard library's
-        # indented encoder, on the record apply_canon returns. pca-skew
-        # nests its d x d frame; n = 1 gives one-entry perms (pca-skew has
-        # no axes there, and sort needs a vector).
+        # The sidecar writer against the standard library's indented
+        # encoder, on the record apply_canon returns. pca-skew nests its
+        # d x d frame; n = 1 gives one-entry perms (pca-skew has no axes
+        # there, and sort needs a vector). The paths hold what json.dumps
+        # must escape in the head the perm is streamed after: a quote, a
+        # backslash, a newline, a non-ASCII letter, and the perm key's text.
         rng = np.random.default_rng(17)
         for d, n in ((1, 1), (1, 9), (3, 1), (3, 9)):
             coords = rng.random((d, n))
             if (method == "sort" and 1 not in (d, n)) or (method == "pca-skew" and n == 1):
                 continue
-            src = _write(tmp_path, f"in_{d}_{n}.csv", coords)
-            out = str(tmp_path / f"out_{d}_{n}.csv")
-            assert main(["canonize", src, out, "--method", method]) == 0
-            record = {"input": src, "output": out,
-                      **apply_canon(read_cloud(src), method)[1]}
-            expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
-            assert _read_bytes(out + ".group.json") == expected.encode(), (d, n)
+            for name in ["in", 'q"uote', "back\\slash", "new\nline", "\u00e9t\u00e9",
+                         '"perm": [']:
+                src = _write(tmp_path, f"{name}_{d}_{n}.csv", coords)
+                out = str(tmp_path / f"{name}_{d}_{n}.out.csv")
+                assert main(["canonize", src, out, "--method", method]) == 0
+                record = {"input": src, "output": out,
+                          **apply_canon(read_cloud(src), method)[1]}
+                expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+                assert _read_bytes(out + ".group.json") == expected.encode(), (d, n, name)
 
     @pytest.mark.parametrize("n", [0, 1, 2, cli._SIDECAR_BLOCK - 1, cli._SIDECAR_BLOCK,
                                    cli._SIDECAR_BLOCK + 1, 2 * cli._SIDECAR_BLOCK + 3])
-    def test_sidecar_json_blocks_match_indented_json(self, n):
+    def test_sidecar_json_blocks_match_indented_json(self, n, tmp_path):
+        # The streamed perm on either side of each block edge, for both
+        # methods that record one.
         perm = np.random.default_rng(n).permutation(n).tolist()
-        record = {"input": "a.csv", "method": "hilbert:10", "output": "b.csv", "perm": perm}
-        assert cli._sidecar_json(record) == json.dumps(record, sort_keys=True, indent=2)
+        for method in ("lexsort", "hilbert:10"):
+            record = {"input": "a.csv", "method": method, "output": "b.csv", "perm": perm}
+            path = tmp_path / "b.csv.group.json"
+            cli._write_sidecar(str(path), record)
+            expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+            assert _read_bytes(path) == expected.encode(), method
 
-    def test_sidecar_json_other_values_match_indented_json(self):
-        # pca-skew nests its frame; a list that stops being flat numbers
-        # only in a later block takes the indented encoder as a whole.
-        block = cli._SIDECAR_BLOCK
-        records = [
-            {"input": "a.csv", "output": "b.csv",
-             **apply_canon(np.random.default_rng(3).random((3, 40)), "pca-skew")[1]},
-            {"late-string": list(range(block)) + ["x"], "late-list": [0.5] * block + [[1]],
-             "late-dict": [1] * (2 * block) + [{"a": 1}], "tuple": (1, 2.5),
-             "mixed": [1.5, True, None, -0.0, 1e300] * block, "empty": [], "nested": [[]],
-             "scalar": 3},
-        ]
-        for record in records:
-            assert cli._sidecar_json(record) == json.dumps(record, sort_keys=True, indent=2)
+    def test_sidecar_json_other_values_match_indented_json(self, tmp_path):
+        # pca-skew nests its d x d frame and has no perm: one json.dumps call.
+        record = {"input": "a.csv", "output": "b.csv",
+                  **apply_canon(np.random.default_rng(3).random((3, 40)), "pca-skew")[1]}
+        path = tmp_path / "b.csv.group.json"
+        cli._write_sidecar(str(path), record)
+        expected = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        assert _read_bytes(path) == expected.encode()
 
-    def test_sidecar_json_peak_memory(self):
-        # A 200000-entry perm: the blocks and their one join stay under
-        # 2.5 times the text; the whole list through one C-encoder call
-        # (one string per entry) and a replace over it does not.
+    def test_sidecar_json_peak_memory(self, tmp_path):
+        # A 200000-entry perm: streaming one block at a time stays under a
+        # quarter of the text; building the text whole does not.
         perm = np.random.default_rng(9).permutation(200_000).tolist()
         record = {"input": "a.csv", "method": "hilbert:10", "output": "b.csv", "perm": perm}
-        size = len(cli._sidecar_json(record))
+        path = str(tmp_path / "b.csv.group.json")
+        cli._write_sidecar(path, record)
+        size = os.path.getsize(path)
         tracemalloc.start()
         try:
-            cli._sidecar_json(record)
+            cli._write_sidecar(path, record)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * size
+        assert peak < 0.25 * size
 
     def test_idempotent_and_permutation_invariant(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
