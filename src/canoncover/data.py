@@ -30,19 +30,17 @@ __all__ = [
 
 @dataclass
 class PointCloud:
-    """d x n coordinate matrix (columns are points) with an optional label."""
+    """d x n coordinate matrix (columns are points) with an optional label.
+
+    coords pass `canon._as_cloud`, the gate of every canonizer and metric:
+    a finite float d x n matrix, d, n >= 1, not copied if it already is one.
+    """
 
     coords: np.ndarray
     label: int | None = None
 
     def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=float)
-        if self.coords.ndim != 2 or min(self.coords.shape) < 1:
-            raise ValueError(
-                f"coords must be a d x n matrix with d, n >= 1, got shape {self.coords.shape}"
-            )
-        if not np.isfinite(self.coords).all():
-            raise ValueError("coords contain non-finite entries")
+        self.coords = _canon._as_cloud(self.coords)
         if self.label is not None:
             self.label = int(self.label)
             if self.label < 0:

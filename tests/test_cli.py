@@ -215,6 +215,18 @@ class TestDist:
         assert captured.out == ""
         assert "error:" in captured.err and "non-finite" in captured.err
 
+    @pytest.mark.parametrize("base", ["inf", "frobenius"])
+    def test_rowwise_sign_quotient_past_d_20(self, tmp_path, capsys, base):
+        rng = np.random.default_rng(21)
+        a = _write(tmp_path, "a.csv", rng.random((21, 4)))
+        b = _write(tmp_path, "b.csv", rng.random((21, 4)))
+        assert main(["dist", a, b, "--metric", f"sign:{base}"]) == 0
+        expect = parse_metric(f"sign:{base}")(read_cloud(a), read_cloud(b))
+        assert capsys.readouterr().out == format_number(expect) + "\n"
+        assert main(["dist", a, b, "--metric", "sign:mean-euclidean"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "d <= 20" in captured.err
+
 
 class TestCoverage:
     def test_report_and_determinism(self, tmp_path, capsys):

@@ -45,6 +45,21 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(coords=np.zeros((2, 2)), label=-1)
 
+    @pytest.mark.parametrize("coords, message", [
+        (np.zeros(4), r"expected a d x n matrix with d, n >= 1, got shape \(4,\)"),
+        (np.zeros((0, 3)), r"expected a d x n matrix with d, n >= 1, got shape \(0, 3\)"),
+        (np.array([[np.nan, 0.0]]), "cloud contains non-finite entries"),
+        (np.array([[0.0], [-np.inf]]), "cloud contains non-finite entries"),
+    ])
+    def test_rejects_with_the_cloud_gate_messages(self, coords, message):
+        with pytest.raises(ValueError, match=message):
+            PointCloud(coords=coords)
+
+    def test_keeps_a_fortran_ordered_input_uncopied(self):
+        coords = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        pc = PointCloud(coords=coords)
+        assert pc.coords is coords and pc.coords.flags.f_contiguous
+
 
 class TestDataset:
     def test_len_and_labels(self):

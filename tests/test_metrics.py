@@ -363,9 +363,25 @@ class TestSignQuotient:
                 values = {sign_quotient(A, B, base="mean-euclidean") for A, B in mixes}
                 assert values == {min(dist_mean_euclidean(Z, Y) for Z in iter_sign_orbit(X))}
 
+    def test_rowwise_bases_take_any_d(self):
+        # Past the 2^d enumeration cap, the row-wise bases are the
+        # per-row minimum over the two signs, written out here.
+        rng = np.random.default_rng(24)
+        X, Y = rng.normal(size=(24, 9)), rng.normal(size=(24, 9))
+        FX, FY = np.asfortranarray(X), np.asfortranarray(Y)
+        inf = np.max(np.minimum(np.max(np.abs(X - Y), axis=1),
+                                np.max(np.abs(X + Y), axis=1)))
+        frobenius = np.sqrt(np.sum(np.minimum(np.sum((FX - FY) ** 2, axis=1),
+                                              np.sum((FX + FY) ** 2, axis=1))))
+        assert sign_quotient(X, Y, base="inf") == inf
+        assert sign_quotient(X, Y, base="frobenius") == frobenius
+        signs = rng.choice([-1.0, 1.0], size=(24, 1))
+        for base in ("inf", "frobenius"):
+            assert sign_quotient(X, signs * X, base=base) == 0.0
+
     def test_rejects_large_d_and_bad_base(self):
-        with pytest.raises(ValueError):
-            sign_quotient(np.zeros((21, 2)), np.zeros((21, 2)))
+        with pytest.raises(ValueError, match="d <= 20"):
+            sign_quotient(np.zeros((21, 2)), np.zeros((21, 2)), base="mean-euclidean")
         with pytest.raises(ValueError):
             sign_quotient(np.zeros((2, 2)), np.zeros((2, 2)), base="l1")
 
