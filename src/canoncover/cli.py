@@ -187,8 +187,6 @@ def _cmd_gen(args) -> int:
     from .cloudio import write_cloud, write_manifest
     from .data import synthetic_dataset
 
-    if min(args.clusters, args.per_cluster, args.d, args.n) < 1:
-        raise ValueError("sizes must be positive")
     ds = synthetic_dataset(args.clusters * args.per_cluster, args.clusters,
                            args.d, args.n, seed=args.seed, spread=args.spread)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."

@@ -72,49 +72,29 @@ def coverage(train: Dataset, test: Dataset, metric,
     items sharing its label; a label with no train item raises
     LabelCoverageError, naming the label of the first such test item.
 
-    When every cloud has one shape and the metric has a `nearest` scan
-    (perm-sum and perm-bottleneck), the test items take one `nearest`
-    call in all, or with same_label_only one per label, each over the
-    stack of that group's eligible train clouds. That scan prunes in two
-    tiers, by the sorted-marginal bound for the whole test stack and
-    then by each survivor's reduced-cost bound, and still returns the
-    full scan's value bit for bit. Other metrics, and datasets whose
-    clouds differ in shape, take a plain minimum over every eligible
-    item in train order, one test item at a time.
+    The test items take one `Metric.nearest` call in all, or with
+    same_label_only one per label, over that group's eligible train
+    clouds in train order. The metric decides how to answer: perm-sum
+    and perm-bottleneck take their pruned scan when the group's clouds
+    share one shape, and every other case a plain minimum.
     """
     metric = parse_metric(metric)
     if len(train.items) == 0:
         raise ValueError("train set is empty")
     if len(test.items) == 0:
         raise ValueError("test set is empty")
-    train_coords = [item.coords for item in train.items]
-    train_labels = [item.label for item in train.items]
-    keys = [item.label if same_label_only else None for item in test.items]
-    rows: dict = {}
-
-    def eligible(key) -> list[int]:
-        if key not in rows:
-            rows[key] = [i for i, lab in enumerate(train_labels)
-                         if not same_label_only or lab == key]
-            if not rows[key]:
-                raise LabelCoverageError(f"no train item with label {key!r}")
-        return rows[key]
-
-    shapes = {item.coords.shape for item in train.items + test.items}
-    if metric.nearest and len(shapes) == 1:
-        stack = np.stack(train_coords)
-        test_stack = np.stack([item.coords for item in test.items])
-        groups: dict = {}
-        for t, key in enumerate(keys):
-            groups.setdefault(key, []).append(t)
-        # Groups run in the order of their first test item, so a missing
-        # label raises for the first such test item, as a per-item scan would.
-        q = np.empty(len(keys))
-        for key, members in groups.items():
-            q[members] = metric.nearest(test_stack[members], stack[eligible(key)])
-    else:
-        q = np.array([min(metric(item.coords, train_coords[i]) for i in eligible(key))
-                      for item, key in zip(test.items, keys)])
+    groups: dict = {}
+    for t, item in enumerate(test.items):
+        groups.setdefault(item.label if same_label_only else None, []).append(t)
+    # Groups run in the order of their first test item, so a missing
+    # label raises for the first such test item, as a per-item scan would.
+    q = np.empty(len(test.items))
+    for key, members in groups.items():
+        eligible = [item.coords for item in train.items
+                    if not same_label_only or item.label == key]
+        if not eligible:
+            raise LabelCoverageError(f"no train item with label {key!r}")
+        q[members] = metric.nearest([test.items[t].coords for t in members], eligible)
     return CoverageReport(
         q=q,
         mean_coverage=float(np.mean(q)),

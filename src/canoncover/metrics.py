@@ -12,12 +12,15 @@ depend on the memory layout of the inputs, and Fortran-ordered clouds
 `brute_perm_quotient` is the exhaustive oracle used to cross-check them
 on small instances; it keeps its own broadcast cost.
 
-`parse_metric` gives the two permutation quotients a nearest-candidate
-scan, `Metric.nearest`, that takes a stack of Q test clouds and returns,
-for each, the exact minimum over a stack of candidates while solving few
-of them. It prunes in two tiers. Tier 1, `_tier1`, is batched over the
-test stack: sorting is an exact 1-d isometry, so the gaps W_a
-between the sorted per-axis marginals bound both quotients from below,
+Every `Metric` answers the nearest-candidate query, `Metric.nearest(T, B)`:
+for each test cloud in T, the minimum distance to a candidate in B. Most
+metrics take a plain minimum over B. `parse_metric` gives the two
+permutation quotients a pruned scan, `Metric.scan`, that `nearest` takes
+when all clouds share one shape: it maps a stack of Q test clouds to the
+same exact minima while solving few of the candidates. It prunes in two
+tiers. Tier 1, `_tier1`, is batched over the test stack: sorting is an
+exact 1-d isometry, so the gaps W_a between the sorted per-axis
+marginals bound both quotients from below,
 as max_a Winf_a for perm-bottleneck and ||(W1_a)_a||_2 / n for perm-sum,
 which dominates the centroid bound of Rubner, Tomasi & Guibas (IJCV
 2000). The candidates' marginals are sorted once per call, and the gaps
@@ -329,18 +332,30 @@ def brute_perm_quotient(X, Y, base) -> float:
 class Metric:
     """A named distance function on equally shaped clouds.
 
-    `nearest(T, B)`, when set, maps a stack T of Q test clouds
-    (Q x d x n, Q >= 0) to Q values, min over c of func(T[q], B[c]) bit
-    for bit, without solving every candidate (see the module docstring
-    for its two pruning tiers). A single cloud X is passed as X[None].
+    `scan(T, B)`, when set, maps a stack T of Q test clouds (Q x d x n,
+    Q >= 0) to Q values, min over c of func(T[q], B[c]) bit for bit,
+    without solving every candidate (see the module docstring for its
+    two pruning tiers). A single cloud X is passed as X[None].
     """
 
     name: str
     func: Callable[[np.ndarray, np.ndarray], float]
-    nearest: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    scan: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, X, Y) -> float:
         return self.func(X, Y)
+
+    def nearest(self, T, B) -> np.ndarray:
+        """min over Y in B of func(X, Y) for each cloud X of T, as float64.
+
+        T and B are sequences or stacks of clouds. When the metric has a
+        `scan` and every cloud in T and B has one shape, the scan answers;
+        otherwise each X takes a plain minimum over B in order. `func` is
+        read at call time, so a `dataclasses.replace` of it is called.
+        """
+        if self.scan and len({np.shape(X) for X in itertools.chain(T, B)}) == 1:
+            return self.scan(T, B)
+        return np.array([min(self.func(X, Y) for Y in B) for X in T], dtype=float)
 
 
 def _wasserstein_on_clouds(p):
@@ -480,12 +495,10 @@ def _nearest_perm(base, marginal_bound, reduced_bound, solve, T, B) -> np.ndarra
     cloud q of the stack T: (Q,), pruned in two tiers."""
     B = _as_cloud(B, ndim=3)
     T = np.asarray(T, dtype=float)
-    if T.ndim != 3:
-        raise ValueError(f"expected a Q x d x n stack of test clouds, got shape {T.shape}")
+    if T.ndim != 3 or len(T):  # an empty Q = 0 stack is accepted
+        T = _as_cloud(T, ndim=3)
     if T.shape[1:] != B.shape[1:]:
         raise ValueError(f"shape mismatch: {T.shape[1:]} vs {B.shape[1:]}")
-    if not np.isfinite(T).all():
-        raise ValueError("cloud contains non-finite entries")
     lower = _tier1(marginal_bound, T, B)
     return np.array([_nearest_one(base, reduced_bound, solve, X, B, lower[q])
                      for q, X in enumerate(T)])
@@ -509,4 +522,4 @@ def parse_metric(spec) -> Metric:
     name = str(spec).strip().lower()
     if name not in _REGISTRY:
         raise ValueError(f"unknown metric {spec!r}; choices: {', '.join(METRIC_CHOICES)}")
-    return Metric(name=name, func=_REGISTRY[name], nearest=_PRUNED_SCANS.get(name))
+    return Metric(name=name, func=_REGISTRY[name], scan=_PRUNED_SCANS.get(name))

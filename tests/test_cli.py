@@ -514,10 +514,18 @@ class TestGen:
         for name in ("cloud_0000.csv", "cloud_0003.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_bad_sizes_exit_1(self, tmp_path, capsys):
-        assert main(["gen", "--clusters", "0", "--per-cluster", "2",
+    @pytest.mark.parametrize("sizes", [
+        ["--clusters", "0"],
+        ["--per-cluster", "0"],
+        ["--clusters", "-2", "--per-cluster", "-3"],
+        ["--d", "0"],
+        ["--n", "0"],
+    ], ids=["clusters-0", "per-cluster-0", "both-negative", "d-0", "n-0"])
+    def test_bad_sizes_exit_1(self, tmp_path, capsys, sizes):
+        assert main(["gen", "--clusters", "2", "--per-cluster", "2", *sizes,
                      "--out", str(tmp_path / "x.jsonl")]) == 1
-
+        assert capsys.readouterr().err == "error: sizes must be positive\n"
+        assert os.listdir(tmp_path) == []  # no manifest, no cloud file
 
     def test_negative_spread_exits_1(self, tmp_path, capsys):
         assert main(["gen", "--clusters", "1", "--per-cluster", "2", "--spread", "-1",

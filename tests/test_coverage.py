@@ -194,7 +194,7 @@ class TestBoundPrunedScan:
         base = parse_metric("mean-euclidean")
         calls = []
         metric = dataclasses.replace(base, func=lambda X, Y: calls.append(1) or base(X, Y))
-        assert metric.nearest is None
+        assert metric.scan is None
         coverage(train, test, metric)
         assert len(calls) == len(train) * len(test)
 
@@ -211,6 +211,89 @@ class TestBoundPrunedScan:
         test = Dataset(items=[PointCloud(coords=rng.random((3, 6)))])
         with pytest.raises(ValueError, match=r"shape mismatch: \(3, 6\) vs \(3, 5\)"):
             coverage(train, test, name)
+
+
+def _labelled(groups):
+    """A dataset of (label, coords) pairs in the given order."""
+    return Dataset(items=[PointCloud(coords=X, label=label) for label, X in groups])
+
+
+def _split_per_label_n(seed):
+    """Three labels whose clouds have n = 4, 5 and 6 points: each label
+    has one shape, the split as a whole has three."""
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for label, n in enumerate((4, 5, 6)):
+        center = rng.random((2, 1))
+        clouds = center + 0.1 * rng.standard_normal((24, 2, n))
+        train += [(label, X) for X in clouds[:20]]
+        test += [(label, X) for X in clouds[20:]]
+    return _labelled(train), _labelled(test[::2] + test[1::2])
+
+
+class TestOnePath:
+    """coverage() hands each label group to `Metric.nearest`, which picks
+    the pruned scan or a plain minimum; q equals the per-pair scan."""
+
+    @pytest.mark.parametrize("same_label", [False, True])
+    @pytest.mark.parametrize("name", list(metrics.METRIC_CHOICES) + ["callable"])
+    def test_equals_full_scan(self, name, same_label):
+        metric = (lambda A, B: float(np.abs(A - B).sum())) if name == "callable" else name
+        for d in (1,) if name.startswith("wasserstein") else (1, 3):
+            train, test = _split_with_ties(7, d, 0.3)
+            report = coverage(train, test, metric, same_label_only=same_label)
+            assert report.q.dtype == np.float64
+            assert np.array_equal(report.q, _full_scan(train, test, metric, same_label)), d
+
+    @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
+    def test_scans_each_label_of_its_own_shape(self, name, monkeypatch):
+        train, test = _split_per_label_n(3)
+        expected = _full_scan(train, test, name, same_label_only=True)
+        calls = _counting(monkeypatch)
+        report = coverage(train, test, name, same_label_only=True)
+        assert np.array_equal(report.q, expected)
+        assert 0 < calls[name] < len(test) * 20
+
+    def test_callable_takes_mixed_shapes(self):
+        train, test = _split_per_label_n(4)
+        calls = []
+
+        def counted(A, B):  # ints, over clouds of any shape
+            calls.append(1)
+            return int(abs(A.size - B.size))
+
+        report = coverage(train, test, counted)
+        assert report.q.dtype == np.float64 and len(calls) == len(train) * len(test)
+        assert np.array_equal(report.q, _full_scan(train, test, counted))
+        assert np.array_equal(report.q, np.zeros(len(test)))
+
+    @pytest.mark.parametrize("name", ["perm-sum", "perm-bottleneck"])
+    def test_ragged_label_group_raises_from_first_pair(self, name):
+        rng = np.random.default_rng(1)
+        train = _labelled([(0, rng.random((3, 5))), (1, rng.random((3, 5))),
+                           (1, rng.random((3, 6))), (0, rng.random((3, 5)))])
+        test = _labelled([(0, rng.random((3, 5))), (1, rng.random((3, 6)))])
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 6\) vs \(3, 5\)$"):
+            coverage(train, test, name, same_label_only=True)
+
+    @pytest.mark.parametrize("name", ["frobenius", "perm-sum"])
+    def test_nearest_calls_a_replaced_func(self, name):
+        # frobenius has no scan; perm-sum's scan needs one shape, and the
+        # candidates here have two.
+        rng = np.random.default_rng(2)
+        calls = []
+
+        def f(X, Y):
+            calls.append(1)
+            return float(X.sum() - Y.sum())
+
+        metric = dataclasses.replace(parse_metric(name), func=f)
+        T = rng.random((3, 2, 4))
+        B = [rng.random((2, n)) for n in (4, 5, 4)]
+        expected = [min(f(X, Y) for Y in B) for X in T]
+        calls.clear()
+        assert np.array_equal(metric.nearest(T, B), expected)
+        assert len(calls) == len(T) * len(B)
 
 
 class TestSolverPatchContract:

@@ -611,9 +611,9 @@ class TestMarginalCentroidLowerBound:
 
     def test_only_permutation_quotients_carry_a_bound(self):
         for name in METRIC_CHOICES:
-            has_bound = parse_metric(name).nearest is not None
+            has_bound = parse_metric(name).scan is not None
             assert has_bound == (name in MARGINAL_BOUNDS), name
-        assert parse_metric(dist_inf).nearest is None
+        assert parse_metric(dist_inf).scan is None
 
 
 def _tied_pair(rng, d, n, i):
@@ -669,7 +669,8 @@ class TestReducedCostBound:
 
 
 class TestNearest:
-    """Metric.nearest: the two-tier pruned scan over a stack of candidates."""
+    """Metric.nearest on equally shaped stacks, where the permutation
+    quotients answer with their two-tier pruned scan, `Metric.scan`."""
 
     NAMES = ("perm-sum", "perm-bottleneck")
 
@@ -725,10 +726,13 @@ class TestNearest:
             assert result.dtype == np.float64
         with pytest.raises(ValueError, match="non-finite"):
             nearest(np.zeros((0, 2, 4)), np.full((7, 2, 4), np.nan))
+        with pytest.raises(ValueError, match=r"shape mismatch: \(3, 4\) vs \(2, 4\)"):
+            nearest(np.zeros((0, 3, 4)), B)
 
     @pytest.mark.parametrize("name", NAMES)
     def test_rejects_non_finite_and_mismatched_input(self, name):
-        nearest = parse_metric(name).nearest
+        metric = parse_metric(name)
+        nearest = metric.nearest
         X, B = np.zeros((2, 3)), np.ones((4, 2, 3))
         for bad in (np.nan, np.inf):
             X_bad, B_bad = X.copy(), B.copy()
@@ -738,14 +742,17 @@ class TestNearest:
                     nearest(*args)
         with pytest.raises(ValueError, match=r"shape mismatch: \(2, 3\) vs \(2, 4\)"):
             nearest(X[None], np.ones((4, 2, 4)))
-        with pytest.raises(ValueError, match="stack of test clouds"):
+        with pytest.raises(ValueError, match=r"^expected an N x d x n stack with "
+                                             r"N, d, n >= 1, got shape \(2, 3\)$"):
+            metric.scan(X, B)
+        with pytest.raises(ValueError):
             nearest(X, B)
         with pytest.raises(ValueError):
             nearest(X[None], np.ones((0, 2, 3)))
 
     def test_only_permutation_quotients_carry_a_scan(self):
         for name in METRIC_CHOICES:
-            has_scan = parse_metric(name).nearest is not None
+            has_scan = parse_metric(name).scan is not None
             assert has_scan == (name in self.NAMES), name
 
 
