@@ -32,7 +32,7 @@ _ORIGIN = {name: module for module, names in {
                "generalization_rhs", "mantissa_exponent", "multiset_count", "sci_string"),
     "canon": ("CanonResult", "DegenerateSpectrumError", "canon_abs", "canon_c1",
               "canon_centralize", "canon_cinf", "canon_hilbert", "canon_hilbert_stack",
-              "canon_lexsort", "canon_skewness_sign", "canon_sort", "jacobi_eigh", "pca_align"),
+              "canon_lexsort", "canon_skewness_sign", "canon_sort", "pca_align"),
     "choices": ("CANON_CHOICES", "METRIC_CHOICES", "SUITE_NAMES"),
     "coverage": ("CoverageReport", "LabelCoverageError", "NetResult", "coverage",
                  "exact_cover_number", "greedy_net", "two_ball_set"),

@@ -31,7 +31,6 @@ __all__ = [
     "pca_align",
     "canon_skewness_sign",
     "iter_sign_orbit",
-    "jacobi_eigh",
 ]
 
 
@@ -189,68 +188,34 @@ def canon_cinf(t, irrational: bool = False) -> Fraction:
     return -v if irrational else v
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi sweeps.
-
-    Rotations run until the off-diagonal Frobenius mass drops below tol.
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    unsorted.
-    """
-    A = np.array(A, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d):
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12, rtol=0.0):
-        raise ValueError("matrix is not symmetric")
-    V = np.eye(d)
-    off_mask = ~np.eye(d, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(A[off_mask] ** 2)))
-        if off <= tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                V = V @ rot
-    else:
-        raise RuntimeError("jacobi sweeps did not converge")
-    return np.diag(A).copy(), V
-
-
 # Eigenvalue gaps below this fraction of the spectral radius make the
 # principal axes ambiguous.
 _PCA_GAP = 1e-6
+# Off-diagonal Frobenius mass of the normalized covariance at or below this
+# is rounding: it is set to zero before the eigensolve.
+_DIAGONAL_SNAP = 1e-12
 
 
 def pca_align(X, with_shift: bool = False):
     """Rotate a cloud into its principal axes.
 
-    Centers X, eigendecomposes the column covariance, sorts eigenvalues
-    descending, and applies the eigenbasis. Returns (aligned cloud,
-    frame) where frame is the d x d orthogonal matrix applied; the
-    aligned covariance is diagonal with descending diagonal. Raises
-    DegenerateSpectrumError when two eigenvalues nearly coincide, since
-    the axes are then only defined up to rotation.
+    Centers X, eigendecomposes the column covariance with np.linalg.eigh,
+    sorts eigenvalues descending, and applies the eigenbasis. Returns
+    (aligned cloud, frame) where frame is the d x d orthogonal matrix
+    applied; the aligned covariance is diagonal with descending diagonal.
+    Raises DegenerateSpectrumError when two eigenvalues nearly coincide,
+    since the axes are then only defined up to rotation.
 
     Translation commutes through the rotation, so the centering shift is
     applied after rotating: the output is the lattice-centered copy of
-    frame @ X, which is what makes a second alignment a no-op (the
-    rotated cloud's quantized mean is exactly zero, and its covariance is
-    diagonal, so the next frame is exactly the identity). Each frame row
-    has its largest-magnitude entry positive, fixing the eigenvector sign
-    ambiguity. with_shift=True appends that post-rotation shift, so
-    frame @ X - shift[:, None] replays the output bit-exactly.
+    frame @ X, which is what makes a second alignment a no-op. Its
+    quantized mean is exactly zero and its covariance is diagonal up to
+    rounding; that rounding is snapped to exact zeros, and LAPACK returns
+    signed unit eigenvectors for an exactly diagonal matrix, so the next
+    frame is exactly the identity. Each frame row has its largest-magnitude
+    entry positive, fixing the eigenvector sign ambiguity. with_shift=True
+    appends that post-rotation shift, so frame @ X - shift[:, None]
+    replays the output bit-exactly.
     """
     X = _as_cloud(X)
     d, n = X.shape
@@ -258,12 +223,15 @@ def pca_align(X, with_shift: bool = False):
         raise ValueError(f"pca alignment supports d <= 8, got d = {d}")
     Yc = X - X.mean(axis=1, keepdims=True)
     cov = (Yc @ Yc.T) / n
-    # Normalize so the Jacobi threshold acts relative to the data scale;
-    # ratios driving the rotations are scale-free.
+    # Normalize so the diagonal snap acts relative to the data scale.
     scale = float(np.max(np.abs(cov)))
     if scale == 0.0:
         raise DegenerateSpectrumError("covariance is zero; axes undefined")
-    eigvals, eigvecs = jacobi_eigh(cov / scale)
+    cov /= scale
+    off = ~np.eye(d, dtype=bool)
+    if math.sqrt(float(np.sum(cov[off] ** 2))) <= _DIAGONAL_SNAP:
+        cov[off] = 0.0
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]

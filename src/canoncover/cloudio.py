@@ -186,9 +186,10 @@ def read_manifest(path, rng=None) -> Dataset:
     Every line is checked as it is read: each must be a JSON object, an
     entry's "path" a string and its "label" absent, null or a non-negative
     integer, and a normalization line may hold only "sample_n", a positive
-    integer, and its two flags, true or false. ValueError names the
-    manifest and line; an error from normalizing a cloud (a "sample_n"
-    above its point count) also names the cloud file.
+    integer, and its two flags, true or false. A manifest holds at most
+    one normalization line. ValueError names the manifest and line; an
+    error from normalizing a cloud (a "sample_n" above its point count)
+    also names the cloud file.
     """
     entries = []
     normalization = None
@@ -205,7 +206,11 @@ def read_manifest(path, rng=None) -> Dataset:
             if not isinstance(obj, dict):
                 raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
             if "normalization" in obj and "path" not in obj:
+                if normalization is not None:
+                    raise ValueError(f"{where}: a second normalization line; "
+                                     f"the first is line {normalization_line}")
                 normalization = _normalization(where, obj["normalization"])
+                normalization_line = lineno
                 continue
             if "path" not in obj:
                 raise ValueError(f"{where}: entry missing 'path'")

@@ -164,7 +164,7 @@ def _check_canon_idempotence(rng):
 
 def _check_pca_align(rng):
     for _ in range(40):
-        d = int(rng.integers(1, 5))
+        d = int(rng.integers(1, 9))
         n = int(rng.integers(d + 3, 40))
         X = rng.normal(size=(d, n)) * (1.0 + np.arange(d))[:, None]
         try:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from canoncover.canon import (
     canon_skewness_sign,
     canon_sort,
     iter_sign_orbit,
-    jacobi_eigh,
     pca_align,
 )
 from canoncover.hilbert import HilbertParams, cloud_indices, snap_to_centroids
@@ -355,31 +355,6 @@ class TestHilbertStack:
             canon_hilbert_stack(np.full((2, 2, 3), 0.5), 32)
 
 
-class TestJacobi:
-    def test_against_numpy_eigh(self, rng):
-        for _ in range(500):
-            d = int(rng.integers(1, 9))
-            B = rng.normal(size=(d, d))
-            A = (B + B.T) / 2
-            vals, vecs = jacobi_eigh(A)
-            np.testing.assert_allclose(
-                np.sort(vals), np.linalg.eigvalsh(A), atol=1e-9
-            )
-            np.testing.assert_allclose(vecs.T @ vecs, np.eye(d), atol=1e-10)
-            np.testing.assert_allclose(vecs.T @ A @ vecs, np.diag(vals), atol=1e-9)
-
-    def test_diagonal_input_returns_identity_vectors(self):
-        vals, vecs = jacobi_eigh(np.diag([3.0, 2.0, 1.0]))
-        np.testing.assert_array_equal(vals, [3.0, 2.0, 1.0])
-        np.testing.assert_array_equal(vecs, np.eye(3))
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            jacobi_eigh(np.ones((2, 3)))
-
-
 class TestPcaAlign:
     def test_axis_aligned_descending_is_fixed(self):
         # Uncorrelated rows, variances 2.5 > 0.25, already centered.
@@ -423,8 +398,8 @@ class TestPcaAlign:
             assert best <= 1e-8
 
     def test_idempotent_exactly(self, rng):
-        for _ in range(300):
-            d = int(rng.integers(1, 5))
+        for _ in range(800):
+            d = int(rng.integers(1, 9))
             n = int(rng.integers(d + 3, 30))
             X = rng.normal(size=(d, n)) * (1.0 + np.arange(d))[:, None]
             X *= 10.0 ** rng.integers(-3, 4)
@@ -435,6 +410,36 @@ class TestPcaAlign:
             again, frame2 = pca_align(aligned)
             np.testing.assert_array_equal(again, aligned)
             np.testing.assert_array_equal(frame2, np.eye(d))
+
+    @staticmethod
+    def _near_diagonal(d, delta):
+        """A centered d x 16 cloud of orthogonal sign patterns with row
+        scales 1, 0.9, ..., whose row 1 leans delta onto row 0's pattern;
+        returns it with its normalized covariance's off-diagonal Frobenius
+        mass, the quantity `pca_align` compares with 1e-12."""
+        H = scipy.linalg.hadamard(16).astype(float)
+        X = (1.0 - 0.1 * np.arange(d))[:, None] * H[1:d + 1]
+        if d > 1:
+            X[1] += delta * H[1]
+        Yc = X - X.mean(axis=1, keepdims=True)
+        cov = (Yc @ Yc.T) / X.shape[1]
+        cov /= np.max(np.abs(cov))
+        return X, float(np.sqrt(np.sum(cov[~np.eye(d, dtype=bool)] ** 2)))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_off_diagonal_mass_under_threshold_gives_identity(self, d):
+        X, mass = self._near_diagonal(d, 0.99e-12 / np.sqrt(2))
+        assert d == 1 or 0.9e-12 < mass <= 1e-12
+        _, frame = pca_align(X)
+        np.testing.assert_array_equal(frame, np.eye(d))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_off_diagonal_mass_over_threshold_rotates(self, d):
+        X, mass = self._near_diagonal(d, 1.01e-12 / np.sqrt(2))
+        assert 1e-12 < mass < 1.1e-12
+        _, frame = pca_align(X)
+        assert not np.array_equal(frame, np.eye(d))
+        np.testing.assert_allclose(frame, np.eye(d), rtol=0.0, atol=1e-10)
 
     def test_equal_variances_degenerate(self):
         X = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])

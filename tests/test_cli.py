@@ -323,6 +323,16 @@ class TestCoverage:
                                 f"integer or null, got {json.loads(label)!r}\n")
         assert captured.out == ""
 
+    def test_second_normalization_line_exits_1(self, tmp_path, capsys):
+        train, test = _make_manifests(tmp_path)
+        with open(train, "a", encoding="utf-8") as fh:
+            fh.write('{"normalization": {"sample_n": 3}}\n{"normalization": {"sample_n": 4}}\n')
+        assert main(["coverage", "--train", train, "--test", test, "--metric", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {train}:8: a second normalization line; "
+                                "the first is line 7\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("metric", ["perm-sum", "perm-bottleneck"])
     def test_mixed_shape_manifests_exit_1(self, tmp_path, capsys, metric):
         rng = np.random.default_rng(0)

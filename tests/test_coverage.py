@@ -399,6 +399,35 @@ class TestExactCover:
         assert greedy_net(pts, "inf", 0.1).size >= 2
         assert exact_cover_number(pts, "inf", 0.1) == 1
 
+    @staticmethod
+    def _brute_cover_number(points, metric, epsilon):
+        """Smallest k such that some k of the points cover all of them."""
+        dist = parse_metric(metric)
+        near = [[dist(c, p) <= epsilon for p in points] for c in points]
+        for k in range(1, len(points) + 1):
+            for centers in itertools.combinations(range(len(points)), k):
+                if all(any(near[c][j] for c in centers) for j in range(len(points))):
+                    return k
+        return 0
+
+    @pytest.mark.parametrize("metric", ["inf", "frobenius", "sign:inf", "perm-sum"])
+    def test_matches_brute_force(self, rng, metric):
+        dist = parse_metric(metric)
+        for _ in range(40):
+            N = int(rng.integers(1, 11))
+            d, n = (int(v) for v in rng.integers(1, 4, size=2))
+            pts = [rng.uniform(-1.0, 1.0, size=(d, n)) for _ in range(N)]
+            # A pairwise distance as epsilon puts a ball boundary on a point.
+            eps = max(dist(pts[0], pts[int(rng.integers(N))]), 1e-3)
+            assert (exact_cover_number(pts, metric, eps)
+                    == self._brute_cover_number(pts, metric, eps))
+
+    def test_two_ball_set_matches_brute_force(self):
+        pts = two_ball_set()
+        for metric in ("inf", "frobenius", "sign:inf", "perm-sum"):
+            assert (exact_cover_number(pts, metric, 0.1)
+                    == self._brute_cover_number(pts, metric, 0.1))
+
     def test_rejects_too_many_points(self):
         pts = [np.zeros((1, 1))] * 21
         with pytest.raises(ValueError):

@@ -655,6 +655,18 @@ class TestManifest:
         assert str(exc.value) == (f"{manifest}:2: {tmp_path / 'c0.csv'}: "
                                   "sample_n = 9 exceeds available points (3)")
 
+    @pytest.mark.parametrize("second", ['{"sample_n": 5}', "null"])
+    def test_second_normalization_line_rejected(self, tmp_path, second):
+        write_cloud(tmp_path / "c0.csv", np.arange(12, dtype=float).reshape(2, 6))
+        manifest = tmp_path / "set.jsonl"
+        manifest.write_text('{"normalization": {"sample_n": 3}}\n'
+                            '{"path": "c0.csv", "label": 0}\n\n'
+                            '{"normalization": %s}\n' % second)
+        with pytest.raises(ValueError) as exc:
+            read_manifest(manifest, rng=np.random.default_rng(0))
+        assert str(exc.value) == (f"{manifest}:4: a second normalization line; "
+                                  "the first is line 1")
+
     @pytest.mark.parametrize("options", ["null", "{}"])
     def test_empty_normalization_applies_defaults(self, tmp_path, options):
         X = np.array([[2.0, 4.0], [6.0, 8.0]])
