@@ -151,6 +151,7 @@ def write_cloud(path, coords: np.ndarray) -> None:
 
 
 _NORMALIZATION_KEYS = ("sample_n", "shift_positive", "divide_max_axis")
+_ENTRY_KEYS = ("path", "label")
 
 
 def _normalization(where: str, options) -> dict:
@@ -184,9 +185,9 @@ def read_manifest(path, rng=None) -> Dataset:
     normalization options it declares.
 
     Every line is checked as it is read: each must be a JSON object, an
-    entry's "path" a string and its "label" absent, null or a non-negative
-    integer, and a normalization line may hold only "sample_n", a positive
-    integer, and its two flags, true or false. A manifest holds at most
+    entry may hold only "path", a string, and "label", absent, null or a
+    non-negative integer, and a normalization line may hold only
+    "sample_n", a positive integer, and its two flags, true or false. A manifest holds at most
     one normalization line. ValueError names the manifest and line; an
     error from normalizing a cloud (a "sample_n" above its point count)
     also names the cloud file.
@@ -214,6 +215,10 @@ def read_manifest(path, rng=None) -> Dataset:
                 continue
             if "path" not in obj:
                 raise ValueError(f"{where}: entry missing 'path'")
+            if obj.keys() - _ENTRY_KEYS:
+                key = next(k for k in obj if k not in _ENTRY_KEYS)
+                raise ValueError(f"{where}: unknown entry key {key!r}; "
+                                 f"allowed: {', '.join(_ENTRY_KEYS)}")
             if not isinstance(obj["path"], str):
                 raise ValueError(f"{where}: 'path' must be a string, got {obj['path']!r}")
             label = obj.get("label")

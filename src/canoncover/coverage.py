@@ -7,7 +7,8 @@ the train set an epsilon-cover of the test set), and mean coverage
 averages the q_t.
 
 The net and cover routines are internal: centers are chosen from the
-input points themselves.
+input points themselves. `exact_cover_number` imports scipy's `milp` on
+its first call, so importing this module never loads scipy.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def greedy_net(points, metric, epsilon) -> NetResult:
     existing center, so the centers cover the input (every point within
     epsilon of some center) and are pairwise > epsilon apart.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     metric = parse_metric(metric)
     centers: list[int] = []
@@ -126,10 +127,16 @@ _EXACT_COVER_MAX = 20
 def exact_cover_number(points, metric, epsilon) -> int:
     """Minimum number of points whose closed epsilon-balls cover the set.
 
-    Centers come from the point set itself; exhaustive branch-and-bound,
-    so at most 20 points.
+    Centers come from the point set itself. Ball i covers point j iff
+    metric(points[i], points[j]) <= epsilon; the N x N ball matrix takes
+    N^2 metric calls. The set-cover ILP, min sum(x) subject to
+    balls^T x >= 1 over x in {0, 1}, is solved by `scipy.optimize.milp`
+    (HiGHS) on its default options, and the cover it returns is checked
+    exactly against the ball matrix: RuntimeError if the solve fails or
+    its answer is not a cover. The 20-point cap bounds the metric calls
+    and the solve time, not what the solver can take.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = len(points)
     if n == 0:
@@ -137,37 +144,16 @@ def exact_cover_number(points, metric, epsilon) -> int:
     if n > _EXACT_COVER_MAX:
         raise ValueError(f"exact cover supports at most {_EXACT_COVER_MAX} points, got {n}")
     metric = parse_metric(metric)
-    full = (1 << n) - 1
-    balls = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if metric(points[i], points[j]) <= epsilon:
-                mask |= 1 << j
-        balls.append(mask)
-
-    best = greedy_net(points, metric, epsilon).size  # valid upper bound
-
-    def search(covered: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if covered == full:
-            best = used
-            return
-        # Branch on the uncovered point with the fewest covering balls.
-        remaining = full & ~covered
-        pick, pick_balls = -1, None
-        for j in range(n):
-            if (remaining >> j) & 1:
-                options = [b for b in balls if (b >> j) & 1]
-                if pick_balls is None or len(options) < len(pick_balls):
-                    pick, pick_balls = j, options
-        for b in pick_balls:
-            search(covered | b, used + 1)
-
-    search(0, 0)
-    return best
+    balls = np.array([[metric(p, q) <= epsilon for q in points] for p in points])
+    from scipy.optimize import milp
+    result = milp(np.ones(n), integrality=1, bounds=(0, 1),
+                  constraints=(balls.T, 1, np.inf))
+    if not result.success:
+        raise RuntimeError(f"set-cover solve failed: {result.message}")
+    chosen = result.x > 0.5
+    if not balls[chosen].any(axis=0).all():
+        raise RuntimeError("set-cover solve returned centers that do not cover the set")
+    return int(chosen.sum())
 
 
 def two_ball_set() -> list[np.ndarray]:

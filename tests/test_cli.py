@@ -323,6 +323,16 @@ class TestCoverage:
                                 f"integer or null, got {json.loads(label)!r}\n")
         assert captured.out == ""
 
+    def test_unknown_manifest_key_exits_1(self, tmp_path, capsys):
+        train, test = _make_manifests(tmp_path)
+        with open(train, "a", encoding="utf-8") as fh:
+            fh.write('{"path": "c0.csv", "lable": 1}\n')
+        assert main(["coverage", "--train", train, "--test", test, "--metric", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {train}:7: unknown entry key 'lable'; "
+                                "allowed: path, label\n")
+        assert captured.out == ""
+
     def test_second_normalization_line_exits_1(self, tmp_path, capsys):
         train, test = _make_manifests(tmp_path)
         with open(train, "a", encoding="utf-8") as fh:

@@ -378,6 +378,12 @@ class TestGreedy:
             greedy_net([np.zeros((1, 1))], "inf", 0.0)
         with pytest.raises(ValueError):
             exact_cover_number([np.zeros((1, 1))], "inf", -0.5)
+        # NaN passes an `epsilon <= 0` test; both must still refuse it.
+        pts = [np.array([[v]]) for v in (0.0, 0.5, 1.0)]
+        for cover in (greedy_net, exact_cover_number):
+            for eps in (float("nan"), np.float64("nan")):
+                with pytest.raises(ValueError, match="^epsilon must be positive, got nan$"):
+                    cover(pts, "inf", eps)
 
 
 class TestExactCover:
@@ -413,10 +419,14 @@ class TestExactCover:
     @pytest.mark.parametrize("metric", ["inf", "frobenius", "sign:inf", "perm-sum"])
     def test_matches_brute_force(self, rng, metric):
         dist = parse_metric(metric)
-        for _ in range(40):
-            N = int(rng.integers(1, 11))
+        for trial in range(50):
+            # The last ten draws reach N = 14.
+            N = int(rng.integers(1, 11 if trial < 40 else 15))
             d, n = (int(v) for v in rng.integers(1, 4, size=2))
             pts = [rng.uniform(-1.0, 1.0, size=(d, n)) for _ in range(N)]
+            if rng.random() < 0.3:
+                # On a 0.1 grid many pairwise distances tie with epsilon.
+                pts = [np.round(p, 1) for p in pts]
             # A pairwise distance as epsilon puts a ball boundary on a point.
             eps = max(dist(pts[0], pts[int(rng.integers(N))]), 1e-3)
             assert (exact_cover_number(pts, metric, eps)
@@ -435,6 +445,29 @@ class TestExactCover:
 
     def test_empty_is_zero(self):
         assert exact_cover_number([], "inf", 0.1) == 0
+
+    def test_writes_nothing(self, capfd):
+        # HiGHS writes from C, past sys.stdout: capfd reads fds 1 and 2.
+        pts = two_ball_set()
+        mapped = [np.array([[canon_c1(float(p[0, 0]))]]) for p in pts]
+        rng = np.random.default_rng(5)
+        big = [rng.random((2, 3)) for _ in range(20)]
+        for points, metric, eps in ((pts, "inf", 0.1), (mapped, "inf", 0.1),
+                                    (pts, "sign:inf", 0.1), (big, "frobenius", 0.5)):
+            exact_cover_number(points, metric, eps)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("x, success", [(None, False), (np.zeros(10), True)],
+                             ids=["solve-fails", "not-a-cover"])
+    def test_failed_or_wrong_solve_raises(self, monkeypatch, x, success):
+        import scipy.optimize
+
+        def fake_milp(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(x=x, success=success, message="fake")
+
+        monkeypatch.setattr(scipy.optimize, "milp", fake_milp)
+        with pytest.raises(RuntimeError, match="set-cover solve"):
+            exact_cover_number(two_ball_set(), "inf", 0.1)
 
 
 class TestTwoBallDemo:

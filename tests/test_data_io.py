@@ -628,6 +628,9 @@ class TestManifest:
         ('{"path": "c0.csv", "label": -1}',
          "label must be a non-negative integer or null, got -1"),
         ('[{"path": "c0.csv"}]', "expected a JSON object, got list"),
+        ('{"path": "c0.csv", "lable": 1}', "unknown entry key 'lable'; allowed: path, label"),
+        ('{"path": "c0.csv", "label": 0, "normalization": {"sample_n": 2}}',
+         "unknown entry key 'normalization'; allowed: path, label"),
     ])
     def test_malformed_line_rejected(self, tmp_path, line, message):
         write_cloud(tmp_path / "c0.csv", np.arange(6, dtype=float).reshape(2, 3))
